@@ -14,7 +14,7 @@ from .core import (
     power,
     rational,
 )
-from .dsl import Identity, IdentitySyntaxError, MultilinearityError, SignPoly, parse_identity
+from .dsl import Identity, IdentitySyntaxError, MultilinearityError, SignPoly, build_identity, parse_identity
 from .engine import StructureBinding, UnboundSymbolError, check, evaluate_on_elements
 from .reports import CheckReport, SuiteReport
 from .structures import (
@@ -56,9 +56,9 @@ from .operators import (
     L3,
     L4,
     Lxy,
-    MatrixOperator,
+    lemma_binding,
+    lemma_identities,
     pair_swap_signs,
-    super_bracket,
     verify_operator_lemmas,
 )
 from .storage import AlgebraDocument, AlgebraFileError, load, save

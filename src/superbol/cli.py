@@ -130,7 +130,7 @@ def cmd_construct(args) -> int:
     elif args.name == "bol":
         built = bol_from_right_alternative(structure, conv, checked=checked)
     elif args.name == "hom_jordan_triple":
-        built = hom_jordan_triple(structure, conv, checked=checked)
+        built = hom_jordan_triple(structure, checked=checked)
     elif args.name == "hom_bol":
         built = hom_bol_from_right_hom_alternative(structure, conv, checked=checked)
     else:

@@ -137,15 +137,8 @@ def triple_element(jordan: HomSuperalgebra, x: Element, y: Element, z: Element) 
     )
 
 
-def hom_jordan_triple(
-    jordan: HomSuperalgebra, conv: Convention = Convention.UNIT, checked: bool = True
-) -> HomTripleSystem:
-    """Ternary system of a twisted Jordan product; output twist is the square.
-
-    ``conv`` records the convention of the pipeline that produced ``jordan``;
-    the tensor itself depends only on the product of ``jordan``.
-    """
-    del conv
+def hom_jordan_triple(jordan: HomSuperalgebra, checked: bool = True) -> HomTripleSystem:
+    """Ternary system of a twisted Jordan product; output twist is the square."""
     if checked:
         _require_check(is_multiplicative(jordan), "hom_jordan_triple")
         _require_suite(jordan, "HOM_JORDAN", "hom_jordan_triple")
@@ -182,7 +175,7 @@ def hom_bol_from_right_hom_alternative(
     plus = plus_algebra(algebra, conv)
     if checked:
         _require_suite(plus, "HOM_JORDAN", "plus_algebra")
-    triple = hom_jordan_triple(plus, conv, checked=False)
+    triple = hom_jordan_triple(plus, checked=False)
     if checked:
         _require_suite(triple, "HOM_JORDAN_TRIPLE", "hom_jordan_triple")
     lie = lie_triple_from_jordan_triple(triple, checked=False)

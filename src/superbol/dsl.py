@@ -194,14 +194,15 @@ def _max_twist(expr: Expr) -> int:
     return deepest
 
 
-def _variable_counts(expr: Expr, counts: dict[str, int]) -> None:
+def variable_counts(expr: Expr, counts: dict[str, int]) -> None:
+    """Add each variable's number of occurrences in ``expr`` to ``counts``."""
     if isinstance(expr, Var):
         counts[expr.name] = counts.get(expr.name, 0) + 1
     elif isinstance(expr, Twist):
-        _variable_counts(expr.arg, counts)
+        variable_counts(expr.arg, counts)
     else:
         for arg in expr.args:
-            _variable_counts(arg, counts)
+            variable_counts(arg, counts)
 
 
 @dataclass(frozen=True)
@@ -444,25 +445,34 @@ def _ordered_variables(terms: list[tuple[Fraction, SignPoly, Expr]]) -> tuple[st
     return tuple(seen)
 
 
-def parse_identity(text: str, name: str = "") -> Identity:
-    """Parse identity text, enforcing multilinearity across all terms."""
-    parser = _Parser(text)
-    raw_terms = parser.parse_identity()
-    variables = _ordered_variables(raw_terms)
-    for position, (_, sign, expr) in enumerate(raw_terms):
+def build_identity(name: str, variables: tuple[str, ...], terms: tuple[Term, ...], source: str = "") -> Identity:
+    """Assemble an identity, enforcing multilinearity across all terms.
+
+    Every term must use each variable exactly once and no other variable, and
+    its sign exponent may only mention the variables.  The engine's basis-tuple
+    verdict is complete only under this precondition.
+    """
+    label = name or source
+    for position, term in enumerate(terms):
         counts: dict[str, int] = {}
-        _variable_counts(expr, counts)
+        variable_counts(term.expr, counts)
         for var in variables:
             occurrences = counts.get(var, 0)
             if occurrences != 1:
                 raise MultilinearityError(
                     f"variable {var!r} occurs {occurrences} times in term {position + 1} "
-                    f"of {name or text!r}; every term must use each variable exactly once"
+                    f"of {label!r}; every term must use each variable exactly once"
                 )
-        unknown = sign.variables - set(variables)
+        unknown = (set(counts) | term.sign.variables) - set(variables)
         if unknown:
             raise MultilinearityError(
-                f"sign exponent of term {position + 1} uses unknown variables {sorted(unknown)}"
+                f"term {position + 1} of {label!r} uses unknown variables {sorted(unknown)}"
             )
+    return Identity(name=name, variables=tuple(variables), terms=tuple(terms), source=source)
+
+
+def parse_identity(text: str, name: str = "") -> Identity:
+    """Parse identity text, enforcing multilinearity across all terms."""
+    raw_terms = _Parser(text).parse_identity()
     terms = tuple(Term(coeff, sign, expr) for coeff, sign, expr in raw_terms)
-    return Identity(name=name, variables=variables, terms=terms, source=text)
+    return build_identity(name, _ordered_variables(raw_terms), terms, source=text)

@@ -3,20 +3,19 @@
 For an identity in n variables over a d-dimensional space the checker walks
 all d**n assignments of basis vectors to variables in lexicographic basis
 order, so the first counterexample of a failing identity is reproducible.
-Every tuple is evaluated (no short-circuit), which keeps reports identical
-across serial and partitioned runs.
+Every tuple is evaluated (no short-circuit), so the reported tuple count is
+the full enumeration whatever the verdict.
 
 Checking only homogeneous basis tuples is sound and complete here because
-every identity the parser admits is multilinear over a characteristic-0
-scalar field; :func:`evaluate_on_elements` provides the independent general-
-element evaluation used to cross-check that claim in the tests.
+every identity :func:`dsl.build_identity` admits, parsed or built, is
+multilinear over a characteristic-0 scalar field; :func:`evaluate_on_elements`
+provides the independent general-element evaluation used to cross-check that
+claim in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -24,8 +23,6 @@ from .core import Element, EvenMap, SuperSpace, apply_map, power
 from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, Twist, Var
 from .reports import CheckReport, SuiteReport
 from .structures import BinaryStructure, TernaryStructure, bin_mul, tern_mul
-
-THREADS_ENV = "SUPERBOL_THREADS"
 
 OpStructure = Union[BinaryStructure, TernaryStructure]
 
@@ -97,40 +94,18 @@ def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapp
     return residue
 
 
-def _check_range(identity: Identity, binding: StructureBinding, powers, start: int, stop: int):
-    """Evaluate the identity on tuple indices [start, stop); return the first failure.
-
-    Every tuple in the range is evaluated even after a failure, so the
-    reported tuple count is the full enumeration regardless of verdict.
-    """
+def _first_failure(identity: Identity, binding: StructureBinding, powers):
+    """Evaluate the identity on every basis tuple in lexicographic order; return
+    the first failing (indices, residue), or None."""
     space = binding.space
-    dim = space.dim
-    n = identity.arity
     first_failure = None
-    for flat in range(start, stop):
-        indices = []
-        rest = flat
-        for _ in range(n):
-            rest, low = divmod(rest, dim)
-            indices.append(low)
-        indices.reverse()
+    for indices in itertools.product(range(space.dim), repeat=identity.arity):
         env = {var: space.basis_vector(i) for var, i in zip(identity.variables, indices)}
         parities = {var: space.parity(i) for var, i in zip(identity.variables, indices)}
         residue = _term_residue(identity, env, parities, binding, powers)
         if first_failure is None and not residue.is_zero():
-            first_failure = (tuple(indices), residue)
+            first_failure = (indices, residue)
     return first_failure
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
 
 
 def check(binding: StructureBinding, identity: Identity) -> CheckReport:
@@ -145,21 +120,7 @@ def check(binding: StructureBinding, identity: Identity) -> CheckReport:
         binding.op(symbol)
     powers = _twist_powers(binding, identity)
     total = binding.space.dim ** identity.arity
-
-    workers = min(_thread_count(), total) or 1
-    if workers == 1:
-        failure = _check_range(identity, binding, powers, 0, total)
-    else:
-        bounds = [(total * w) // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda span: _check_range(identity, binding, powers, span[0], span[1]),
-                    zip(bounds, bounds[1:]),
-                )
-            )
-        failure = next((c for c in chunks if c is not None), None)
-
+    failure = _first_failure(identity, binding, powers)
     if failure is None:
         return CheckReport(name=identity.name, passed=True, tuples_checked=total)
     indices, residue = failure

@@ -1,10 +1,18 @@
 """Left-multiplication operator calculus over a twisted Jordan product.
 
-Operators are concrete matrices over the basis, graded by the parity of their
-defining elements; the lemma checks below are exact matrix equations
-instantiated on all homogeneous basis tuples of the appropriate arity.
-Operator identities are verified as matrices rather than re-encoded in the
-identity DSL because they quantify over operators, not elements.
+An operator equation ``Op(x, y, ...) = 0`` holds exactly when the element
+identity ``Op(x, y, ...)(t) = 0`` holds for every basis vector ``t``, and that
+identity is multilinear with ``t`` as a new last variable.  So an operator is
+built as DSL terms over ``*`` and ``A`` in its argument variable ``t``:
+``L1(a)`` is ``a*t``, and composition substitutes one operator's terms for
+the other's ``t``.  Every operation is even, so the parity of a compound
+argument is the sum of its variables' parities and each Koszul sign is a
+sign polynomial over the variables.
+
+Each lemma is checked by the identity engine on all homogeneous basis
+tuples.  An operator tuple fails iff some ``t`` fails, and ``t`` is
+quantified last, so the engine's first counterexample with ``t`` dropped is
+the lexicographically first failing operator tuple.
 """
 
 from __future__ import annotations
@@ -12,173 +20,272 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Union
 
-from .constructions import triple_element
-from .core import EVEN, MIXED, Element, EvenMap, SuperSpace, apply_map, parity_of, power
+from .constructions import hom_jordan_triple
+from .dsl import ANGLE, STAR, Call, Expr, Identity, SignPoly, Term, Twist, Var, build_identity, variable_counts
+from .engine import StructureBinding, check
 from .reports import CheckReport, SuiteReport
-from .structures import HomSuperalgebra, is_multiplicative
+from .structures import HomSuperalgebra, grading_check, is_multiplicative
 from .suites import run_suite
 
-Rows = tuple[tuple[Fraction, ...], ...]
-
-
-def _zero_rows(dim: int) -> Rows:
-    return tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-
-
-def _rows_add(a: Rows, b: Rows) -> Rows:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _rows_scale(a: Rows, factor: Fraction) -> Rows:
-    return tuple(tuple(factor * x for x in row) for row in a)
-
-
-def _rows_mul(a: Rows, b: Rows) -> Rows:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _rows_is_zero(a: Rows) -> bool:
-    return all(x == 0 for row in a for x in row)
+ARG = Var("t")
 
 
 @dataclass(frozen=True)
-class MatrixOperator:
-    """A linear self-map of fixed parity: entry (i,j) vanishes unless
-    parity(i) = parity(j) + parity, and composition adds parities."""
+class Combination:
+    """A signed sum of DSL expressions; with ``t`` free, the operator t -> sum."""
 
-    space: SuperSpace
-    rows: Rows
-    parity: int
+    terms: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        dim = self.space.dim
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ValueError(f"expected a {dim}x{dim} matrix")
-        for i, j in itertools.product(range(dim), repeat=2):
-            if rows[i][j] != 0 and self.space.parity(i) != (self.space.parity(j) + self.parity) % 2:
-                raise ValueError(
-                    f"entry ({self.space.names[i]}, {self.space.names[j]}) breaks the parity grading"
-                )
+    def __add__(self, other: "Operand") -> "Combination":
+        return Combination(self.terms + _lift(other).terms)
 
-    @staticmethod
-    def zero(space: SuperSpace, parity: int = EVEN) -> "MatrixOperator":
-        return MatrixOperator(space, _zero_rows(space.dim), parity)
+    def __sub__(self, other: "Operand") -> "Combination":
+        return self + _lift(other).signed(SignPoly(), -1)
 
-    @staticmethod
-    def wrap(even_map: EvenMap) -> "MatrixOperator":
-        return MatrixOperator(even_map.space, even_map.matrix, EVEN)
-
-    def is_zero(self) -> bool:
-        return _rows_is_zero(self.rows)
-
-    def _join_parity(self, other: "MatrixOperator") -> int:
-        if self.is_zero():
-            return other.parity
-        if other.is_zero():
-            return self.parity
-        if self.parity != other.parity:
-            raise ValueError("cannot add nonzero operators of different parity")
-        return self.parity
-
-    def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
-        return MatrixOperator(self.space, _rows_add(self.rows, other.rows), self._join_parity(other))
-
-    def __sub__(self, other: "MatrixOperator") -> "MatrixOperator":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor) -> "MatrixOperator":
-        return MatrixOperator(self.space, _rows_scale(self.rows, Fraction(factor)), self.parity)
-
-    def __matmul__(self, other: "MatrixOperator") -> "MatrixOperator":
-        return MatrixOperator(
-            self.space, _rows_mul(self.rows, other.rows), (self.parity + other.parity) % 2
+    def signed(self, sign: SignPoly, coefficient: int = 1) -> "Combination":
+        """Every term times coefficient * (-1)^sign."""
+        return Combination(
+            tuple(Term(t.coefficient * coefficient, t.sign + sign, t.expr) for t in self.terms)
         )
 
-    def apply(self, element: Element) -> Element:
-        out: dict[int, Fraction] = {}
-        for j, value in element.coords.items():
-            for i in range(self.space.dim):
-                entry = self.rows[i][j]
-                if entry != 0:
-                    out[i] = out.get(i, Fraction(0)) + entry * value
-        return Element(self.space, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixOperator):
-            return NotImplemented
-        return self.space == other.space and self.rows == other.rows
+    def __matmul__(self, other: "Operand") -> "Combination":
+        """Compose with, or apply to, ``other``: substitute it for ``t``."""
+        return _bilinear(self, other, _substitute)
 
 
-def super_bracket(f: MatrixOperator, g: MatrixOperator) -> MatrixOperator:
-    """fg - (-1)^{|f||g|} gf with the operators' own parities."""
-    sign = Fraction(-1 if f.parity and g.parity else 1)
-    return (f @ g) - (g @ f).scale(sign)
+Operand = Union[Expr, Combination]
 
 
-def left_mul_rows(jordan: HomSuperalgebra, element: Element) -> Rows:
-    """Raw matrix of w -> element * w; defined for any element, graded or not."""
-    dim = jordan.space.dim
-    columns = [jordan.mul(element, jordan.space.basis_vector(j)) for j in range(dim)]
-    return tuple(
-        tuple(columns[j].coords.get(i, Fraction(0)) for j in range(dim)) for i in range(dim)
+def _lift(value: Operand) -> Combination:
+    if isinstance(value, Combination):
+        return value
+    return Combination((Term(Fraction(1), SignPoly(), value),))
+
+
+def _bilinear(left: Operand, right: Operand, combine: Callable[[Expr, Expr], Expr]) -> Combination:
+    return Combination(
+        tuple(
+            Term(a.coefficient * b.coefficient, a.sign + b.sign, combine(a.expr, b.expr))
+            for a in _lift(left).terms
+            for b in _lift(right).terms
+        )
     )
 
 
-def L1(jordan: HomSuperalgebra, x: Element) -> MatrixOperator:
-    """Left multiplication by a homogeneous element; operator parity is |x|."""
-    parity = parity_of(x)
-    if parity is MIXED:
-        raise ValueError("left multiplication operator needs a homogeneous element")
-    return MatrixOperator(jordan.space, left_mul_rows(jordan, x), parity)
+def _twist(power: int, expr: Expr) -> Expr:
+    if isinstance(expr, Twist):
+        return Twist(power + expr.power, expr.arg)
+    return Twist(power, expr)
 
 
-def _sign(exponent: int) -> Fraction:
-    return Fraction(-1 if exponent % 2 else 1)
+def _substitute(expr: Expr, value: Expr) -> Expr:
+    if expr == ARG:
+        return value
+    if isinstance(expr, Var):
+        return expr
+    if isinstance(expr, Twist):
+        return _twist(expr.power, _substitute(expr.arg, value))
+    return Call(expr.op, tuple(_substitute(arg, value) for arg in expr.args))
 
 
-def _parity(x: Element) -> int:
-    p = parity_of(x)
-    return 0 if p is MIXED else p  # mixed never reaches sign-sensitive callers
+def _parity(operands) -> frozenset[str]:
+    """Variables whose parities sum to the parity of the operand (or tuple of operands)."""
+    counts: dict[str, int] = {}
+    for operand in operands if isinstance(operands, tuple) else (operands,):
+        variable_counts(_lift(operand).terms[0].expr, counts)
+    return frozenset(var for var, n in counts.items() if n % 2)
 
 
-def L2(jordan: HomSuperalgebra, x: Element, y: Element) -> MatrixOperator:
-    a = jordan.twist
-    px, py = _parity(x), _parity(y)
-    return (L1(jordan, apply_map(a, x)) @ L1(jordan, y)) - (
-        L1(jordan, apply_map(a, y)) @ L1(jordan, x)
-    ).scale(_sign(px * py))
+def koszul(left, right) -> SignPoly:
+    """The exponent of (-1)^{|left||right|}; a tuple stands for the sum of its parities."""
+    poly = SignPoly()
+    for a, b in itertools.product(_parity(left), _parity(right)):
+        poly = poly + SignPoly(frozenset({frozenset({a, b})}))
+    return poly
 
 
-def L3(jordan: HomSuperalgebra, x: Element, y: Element, z: Element) -> MatrixOperator:
-    a = jordan.twist
-    px, py, pz = _parity(x), _parity(y), _parity(z)
-    return (L2(jordan, apply_map(a, x), apply_map(a, y)) @ L1(jordan, z)) - (
-        L1(jordan, apply_map(power(a, 2), z)) @ L2(jordan, x, y)
-    ).scale(_sign(pz * (px + py)))
+def mul(a: Operand, b: Operand) -> Combination:
+    return _bilinear(a, b, lambda p, q: Call(STAR, (p, q)))
 
 
-def L4(jordan: HomSuperalgebra, w: Element, x: Element, y: Element, z: Element) -> MatrixOperator:
-    a = jordan.twist
-    pw, px, py, pz = (_parity(e) for e in (w, x, y, z))
-    return (
-        L3(jordan, apply_map(a, w), apply_map(a, x), apply_map(a, y)) @ L1(jordan, z)
-    ) - (L1(jordan, apply_map(power(a, 3), z)) @ L3(jordan, w, x, y)).scale(
-        _sign(pz * (pw + px + py))
-    )
+def A(a: Operand, power: int = 1) -> Combination:
+    """The twist power applied to every term; ``A(ARG, n)`` is the operator alpha^n."""
+    return Combination(tuple(Term(t.coefficient, t.sign, _twist(power, t.expr)) for t in _lift(a).terms))
 
 
-def Lxy(jordan: HomSuperalgebra, x: Element, y: Element) -> MatrixOperator:
+def L1(a: Operand) -> Combination:
+    """Left multiplication t -> a*t; its parity is |a|."""
+    return mul(a, ARG)
+
+
+def L2(x: Operand, y: Operand) -> Combination:
+    return L1(A(x)) @ L1(y) - (L1(A(y)) @ L1(x)).signed(koszul(x, y))
+
+
+def L3(x: Operand, y: Operand, z: Operand) -> Combination:
+    return L2(A(x), A(y)) @ L1(z) - (L1(A(z, 2)) @ L2(x, y)).signed(koszul(z, (x, y)))
+
+
+def L4(w: Operand, x: Operand, y: Operand, z: Operand) -> Combination:
+    return L3(A(w), A(x), A(y)) @ L1(z) - (L1(A(z, 3)) @ L3(w, x, y)).signed(koszul(z, (w, x, y)))
+
+
+def Lxy(x: Operand, y: Operand) -> Combination:
     """L(x*y) composed with the twist, plus the pair operator; acts as <x,y,->."""
-    alpha = MatrixOperator.wrap(jordan.twist)
-    return (L1(jordan, jordan.mul(x, y)) @ alpha) + L2(jordan, x, y)
+    return L1(mul(x, y)) @ A(ARG) + L2(x, y)
+
+
+def triple(x: Operand, y: Operand, z: Operand) -> Combination:
+    """(xy)A(z) + A(x)(yz) - (-1)^{|x||y|} A(y)(xz), the twisted Jordan triple product."""
+    return mul(mul(x, y), A(z)) + mul(A(x), mul(y, z)) - mul(A(y), mul(x, z)).signed(koszul(x, y))
+
+
+def lemma_identities(untwisted: bool = True) -> tuple[Identity, ...]:
+    """Every operator lemma as an element identity, in report order.
+
+    Operator equations quantify ``t`` last.  ``pair_operator_swap`` and
+    ``difference_reduction_pairs`` appear once per candidate sign, +1 first,
+    so the sign they assert is an observed fact.  ``double_bracket_reduction``
+    applies only at the identity twist.
+    """
+    x, y, z, u, v, w = (Var(name) for name in "xyzuvw")
+    alpha, alpha2, alpha3 = (A(ARG, n) for n in (1, 2, 3))
+    xy, uv = mul(x, y), mul(u, v)
+    swap = koszul((u, v), (x, y))
+
+    def expansion(a: Var, b: Var, c: Var, d: Var) -> Combination:
+        """Lxy(A^2 a, A^2 b) Lxy(c, d) minus its four-term expansion."""
+        ab, cd = mul(a, b), mul(c, d)
+        return (
+            Lxy(A(a, 2), A(b, 2)) @ Lxy(c, d)
+            - L1(A(ab, 2)) @ L1(A(cd)) @ alpha2
+            - L2(A(a, 2), A(b, 2)) @ L1(cd) @ alpha
+            - L1(A(ab, 2)) @ L2(A(c), A(d)) @ alpha
+            - L2(A(a, 2), A(b, 2)) @ L2(c, d)
+        )
+
+    def nested(outer: Var, inner: Var) -> Combination:
+        """L(A^2(outer) (A(inner) (x*y))) alpha^3."""
+        return L1(L1(A(outer, 2)) @ (L1(A(inner)) @ xy)) @ alpha3
+
+    lemmas = [
+        ("left_mul_supercommutativity", "xy", L1(x) @ y - (L1(y) @ x).signed(koszul(x, y))),
+        *(("pair_operator_swap", "xyt", L2(x, y) - L2(y, x).signed(koszul(x, y), s)) for s in (+1, -1)),
+        ("twist_naturality_single", "xt", alpha @ L1(x) - L1(A(x)) @ alpha),
+        ("twist_naturality_pair", "xyt", alpha @ L2(x, y) - L2(A(x), A(y)) @ alpha),
+        ("twist_naturality_triple", "xyzt", alpha @ L3(x, y, z) - L3(A(x), A(y), A(z)) @ alpha),
+        (
+            "jordan_cyclic_operator_sum",
+            "wxzt",
+            sum(
+                ((L2(A(b), mul(a, c)) @ alpha).signed(koszul(a, (b, c)))
+                 for a, b, c in ((w, x, z), (x, z, w), (z, w, x))),
+                Combination(()),
+            ),
+        ),
+        ("nested_left_mul_reduction", "xyzt", L1(L2(x, y) @ z) @ alpha2 - L3(x, y, z)),
+        ("quad_first_term_expansion", "xyuvt", expansion(x, y, u, v)),
+        ("quad_second_term_expansion", "xyuvt", expansion(u, v, x, y).signed(swap)),
+        (
+            "difference_reduction_products",
+            "xyuvt",
+            L1(A(xy, 2)) @ L1(A(uv)) @ alpha2
+            - (L1(A(uv, 2)) @ L1(A(xy)) @ alpha2).signed(swap)
+            - L2(A(xy), mul(A(u), A(v))) @ alpha2,
+        ),
+        (
+            "difference_reduction_mixed_left",
+            "xyuvt",
+            L2(A(x, 2), A(y, 2)) @ L1(uv) @ alpha
+            - (L1(A(uv, 2)) @ L2(A(x), A(y)) @ alpha).signed(swap)
+            - L1(L2(A(x), A(y)) @ uv) @ alpha3,
+        ),
+        (
+            "difference_reduction_mixed_right",
+            "xyuvt",
+            L1(A(xy, 2)) @ L2(A(u), A(v)) @ alpha
+            - (L2(A(u, 2), A(v, 2)) @ L1(xy) @ alpha).signed(swap)
+            - (nested(v, u).signed(koszul(u, v)) - nested(u, v)).signed(swap),
+        ),
+        *(
+            (
+                "difference_reduction_pairs",
+                "xyuvt",
+                L2(A(x, 2), A(y, 2)) @ L2(u, v)
+                - (L2(A(u, 2), A(v, 2)) @ L2(x, y)).signed(swap)
+                - L4(x, y, u, v)
+                - L4(y, x, v, u).signed(koszul(u, v) + koszul(x, y), s),
+            )
+            for s in (+1, -1)
+        ),
+        (
+            "triple_head_expansion",
+            "xyuvt",
+            Lxy(triple(x, y, u), A(v, 2)) @ alpha2
+            - nested(v, u).signed(koszul(u, v) + swap)
+            - L1(L2(A(x), A(y)) @ uv) @ alpha3
+            + (L1(L1(A(u, 2)) @ (L2(x, y) @ v)) @ alpha3).signed(koszul(u, (x, y)))
+            + (L2(A(v, 2), mul(xy, A(u))) @ alpha2).signed(koszul(v, (u, x, y)))
+            - L4(x, y, u, v),
+        ),
+        (
+            "triple_tail_expansion",
+            "xyuvt",
+            (Lxy(A(u, 2), triple(y, x, v)) @ alpha2).signed(koszul(x, y) + koszul(u, (x, y)))
+            - nested(u, v).signed(swap)
+            + (L1(L1(A(u, 2)) @ (L2(x, y) @ v)) @ alpha3).signed(koszul(u, (x, y)))
+            - (L2(A(u, 2), mul(A(v), xy)) @ alpha2).signed(swap)
+            + L4(y, x, v, u).signed(koszul(u, v) + koszul(x, y)),
+        ),
+        (
+            "supertriple_operator_identity",
+            "xyuvt",
+            Lxy(A(x, 2), A(y, 2)) @ Lxy(u, v)
+            - (Lxy(A(u, 2), A(v, 2)) @ Lxy(x, y)).signed(swap)
+            - Lxy(triple(x, y, u), A(v, 2)) @ alpha2
+            + (Lxy(A(u, 2), triple(y, x, v)) @ alpha2).signed(koszul(x, y) + koszul(u, (x, y))),
+        ),
+        ("pair_action_matches_triple_product", "xyz", Lxy(x, y) @ z - Call(ANGLE, (x, y, z))),
+    ]
+    if untwisted:
+        bracket = L1(x) @ L1(y) - (L1(y) @ L1(x)).signed(koszul(x, y))
+        lemmas.append(
+            (
+                "double_bracket_reduction",
+                "xyzt",
+                bracket @ L1(z)
+                - (L1(z) @ bracket).signed(koszul((x, y), z))
+                - L1(mul(x, mul(y, z)))
+                + L1(mul(y, mul(x, z))).signed(koszul(x, y)),
+            )
+        )
+    return tuple(build_identity(name, tuple(variables), terms.terms) for name, variables, terms in lemmas)
+
+
+def lemma_binding(jordan: HomSuperalgebra) -> StructureBinding:
+    """``*`` and ``A`` from the Jordan product; ``<>`` from its triple-product construction."""
+    ternary = hom_jordan_triple(jordan, checked=False).ternary
+    return StructureBinding(jordan.space, {STAR: jordan.binary, ANGLE: ternary}, jordan.twist)
+
+
+def _lemma_report(binding: StructureBinding, identity: Identity) -> CheckReport:
+    """The engine's verdict, counting and naming operator tuples for operator equations."""
+    report = check(binding, identity)
+    tuples, counterexample = report.tuples_checked, report.counterexample
+    if identity.variables[-1] == ARG.name:
+        tuples //= binding.space.dim
+        counterexample = counterexample and counterexample[:-1]
+    return CheckReport(identity.name, report.passed, tuples, counterexample)
+
+
+def _holding(candidates: list[CheckReport]) -> tuple[int, ...]:
+    return tuple(s for s, report in zip((+1, -1), candidates) if report.passed)
+
+
+def _signs(signs: tuple[int, ...]) -> str:
+    return "/".join(f"{s:+d}" for s in signs) or "none"
 
 
 def pair_swap_signs(jordan: HomSuperalgebra) -> tuple[int, ...]:
@@ -188,46 +295,35 @@ def pair_swap_signs(jordan: HomSuperalgebra) -> tuple[int, ...]:
     can only hold when every pair operator vanishes.  Both candidates are
     evaluated so the selection is an observed fact, not an assumption.
     """
+    binding = lemma_binding(jordan)
+    candidates = [i for i in lemma_identities(untwisted=False) if i.name == "pair_operator_swap"]
+    return _holding([_lemma_report(binding, identity) for identity in candidates])
+
+
+def _additivity(jordan: HomSuperalgebra) -> CheckReport:
+    """L(x+y) = L(x) + L(y) on basis pairs: a tautology of the bilinear extension."""
     space = jordan.space
-    holds = {+1: True, -1: True}
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        x, y = space.basis_vector(i), space.basis_vector(j)
-        lhs = L2(jordan, x, y)
-        swapped = L2(jordan, y, x).scale(_sign(space.parity(i) * space.parity(j)))
-        for s in (+1, -1):
-            if lhs != swapped.scale(Fraction(s)):
-                holds[s] = False
-    return tuple(s for s in (+1, -1) if holds[s])
-
-
-def _tuple_check(
-    name: str,
-    space: SuperSpace,
-    arity: int,
-    predicate: Callable[..., bool],
-    detail: str = "",
-) -> CheckReport:
+    basis = [space.basis_vector(i) for i in range(space.dim)]
     counterexample = None
-    total = 0
-    for combo in itertools.product(range(space.dim), repeat=arity):
-        total += 1
-        if counterexample is None and not predicate(*(space.basis_vector(i) for i in combo)):
-            counterexample = tuple(space.names[i] for i in combo)
-    return CheckReport(
-        name=name,
-        passed=counterexample is None,
-        tuples_checked=total,
-        counterexample=counterexample,
-        detail=detail,
-    )
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        x, y = basis[i], basis[j]
+        if counterexample is None and any(
+            jordan.mul(x + y, t) != jordan.mul(x, t) + jordan.mul(y, t) for t in basis
+        ):
+            counterexample = (space.names[i], space.names[j])
+    return CheckReport("left_mul_additivity", counterexample is None, space.dim**2, counterexample)
 
 
 def verify_operator_lemmas(jordan: HomSuperalgebra, checked: bool = True) -> SuiteReport:
-    """Instantiate every operator lemma on basis tuples as exact matrix equations.
+    """Check every operator lemma on all homogeneous basis tuples.
 
-    Precondition (verified unless ``checked=False``): the structure is
-    multiplicative and its product satisfies the twisted Jordan suite.
+    The product must be graded (always verified).  Precondition (verified
+    unless ``checked=False``): the structure is multiplicative and its
+    product satisfies the twisted Jordan suite.
     """
+    grading = grading_check(jordan.binary)
+    if not grading.passed:
+        raise ValueError(f"operator lemmas need a graded product: {grading.describe()}")
     if checked:
         mult = is_multiplicative(jordan)
         if not mult.passed:
@@ -237,280 +333,40 @@ def verify_operator_lemmas(jordan: HomSuperalgebra, checked: bool = True) -> Sui
             failure = jordan_suite.first_failure()
             raise ValueError(f"operator lemmas need a twisted Jordan product: {failure.describe()}")
 
-    space = jordan.space
-    a = jordan.twist
-    alpha = MatrixOperator.wrap(a)
-    alpha2 = MatrixOperator.wrap(power(a, 2))
-    alpha3 = MatrixOperator.wrap(power(a, 3))
-    A = lambda e: apply_map(a, e)
-    A2 = lambda e: apply_map(power(a, 2), e)
-    p = lambda e: _parity(e)
+    binding = lemma_binding(jordan)
+    results: dict[str, list[CheckReport]] = {}
+    for identity in lemma_identities(jordan.twist.is_identity()):
+        results.setdefault(identity.name, []).append(_lemma_report(binding, identity))
+
     reports: list[CheckReport] = []
-
-    reports.append(
-        _tuple_check(
-            "left_mul_supercommutativity",
-            space,
-            2,
-            lambda x, y: L1(jordan, x).apply(y) == L1(jordan, y).apply(x).scale(_sign(p(x) * p(y))),
-        )
-    )
-
-    reports.append(
-        _tuple_check(
-            "left_mul_additivity",
-            space,
-            2,
-            lambda x, y: left_mul_rows(jordan, x + y)
-            == _rows_add(left_mul_rows(jordan, x), left_mul_rows(jordan, y)),
-        )
-    )
-
-    signs = pair_swap_signs(jordan)
-    selected = -1 if -1 in signs else (+1 if signs else 0)
-    reports.append(
-        CheckReport(
-            name="pair_operator_swap",
-            passed=bool(signs),
-            tuples_checked=space.dim**2,
-            detail=f"holds with sign {'/'.join(f'{s:+d}' for s in signs) or 'none'}; asserting {selected:+d}",
-        )
-    )
-
-    reports.append(
-        _tuple_check(
-            "twist_naturality_single",
-            space,
-            1,
-            lambda x: alpha @ L1(jordan, x) == L1(jordan, A(x)) @ alpha,
-        )
-    )
-    reports.append(
-        _tuple_check(
-            "twist_naturality_pair",
-            space,
-            2,
-            lambda x, y: alpha @ L2(jordan, x, y) == L2(jordan, A(x), A(y)) @ alpha,
-        )
-    )
-    reports.append(
-        _tuple_check(
-            "twist_naturality_triple",
-            space,
-            3,
-            lambda x, y, z: alpha @ L3(jordan, x, y, z) == L3(jordan, A(x), A(y), A(z)) @ alpha,
-        )
-    )
-
-    def cyclic_sum_vanishes(w, x, z):
-        total = MatrixOperator.zero(space)
-        for (cw, cx, cz) in ((w, x, z), (x, z, w), (z, w, x)):
-            term = (L2(jordan, A(cx), jordan.mul(cw, cz)) @ alpha).scale(
-                _sign(p(cw) * (p(cx) + p(cz)))
+    for name, found in results.items():
+        if name == "pair_operator_swap":
+            signs = _holding(found)
+            selected = -1 if -1 in signs else (+1 if signs else 0)
+            reports.append(
+                CheckReport(
+                    name=name,
+                    passed=bool(signs),
+                    tuples_checked=found[0].tuples_checked,
+                    detail=f"holds with sign {_signs(signs)}; asserting {selected:+d}",
+                )
             )
-            total = total + term
-        return total.is_zero()
-
-    reports.append(_tuple_check("jordan_cyclic_operator_sum", space, 3, cyclic_sum_vanishes))
-
-    reports.append(
-        _tuple_check(
-            "nested_left_mul_reduction",
-            space,
-            3,
-            lambda x, y, z: L1(jordan, L2(jordan, x, y).apply(z)) @ alpha2 == L3(jordan, x, y, z),
-        )
-    )
-
-    def quad_first(x, y, u, v):
-        lhs = Lxy(jordan, A2(x), A2(y)) @ Lxy(jordan, u, v)
-        rhs = (
-            (L1(jordan, A2(jordan.mul(x, y))) @ L1(jordan, A(jordan.mul(u, v))) @ alpha2)
-            + (L2(jordan, A2(x), A2(y)) @ L1(jordan, jordan.mul(u, v)) @ alpha)
-            + (L1(jordan, A2(jordan.mul(x, y))) @ L2(jordan, A(u), A(v)) @ alpha)
-            + (L2(jordan, A2(x), A2(y)) @ L2(jordan, u, v))
-        )
-        return lhs == rhs
-
-    reports.append(_tuple_check("quad_first_term_expansion", space, 4, quad_first))
-
-    def quad_second(x, y, u, v):
-        sign = _sign((p(u) + p(v)) * (p(x) + p(y)))
-        lhs = (Lxy(jordan, A2(u), A2(v)) @ Lxy(jordan, x, y)).scale(sign)
-        rhs = (
-            (L1(jordan, A2(jordan.mul(u, v))) @ L1(jordan, A(jordan.mul(x, y))) @ alpha2)
-            + (L2(jordan, A2(u), A2(v)) @ L1(jordan, jordan.mul(x, y)) @ alpha)
-            + (L1(jordan, A2(jordan.mul(u, v))) @ L2(jordan, A(x), A(y)) @ alpha)
-            + (L2(jordan, A2(u), A2(v)) @ L2(jordan, x, y))
-        ).scale(sign)
-        return lhs == rhs
-
-    reports.append(_tuple_check("quad_second_term_expansion", space, 4, quad_second))
-
-    def diff_products(x, y, u, v):
-        sign = _sign((p(u) + p(v)) * (p(x) + p(y)))
-        lhs = (L1(jordan, A2(jordan.mul(x, y))) @ L1(jordan, A(jordan.mul(u, v))) @ alpha2) - (
-            L1(jordan, A2(jordan.mul(u, v))) @ L1(jordan, A(jordan.mul(x, y))) @ alpha2
-        ).scale(sign)
-        rhs = L2(jordan, A(jordan.mul(x, y)), jordan.mul(A(u), A(v))) @ alpha2
-        return lhs == rhs
-
-    reports.append(_tuple_check("difference_reduction_products", space, 4, diff_products))
-
-    def diff_mixed_left(x, y, u, v):
-        sign = _sign((p(u) + p(v)) * (p(x) + p(y)))
-        lhs = (L2(jordan, A2(x), A2(y)) @ L1(jordan, jordan.mul(u, v)) @ alpha) - (
-            L1(jordan, A2(jordan.mul(u, v))) @ L2(jordan, A(x), A(y)) @ alpha
-        ).scale(sign)
-        rhs = L1(jordan, L2(jordan, A(x), A(y)).apply(jordan.mul(u, v))) @ alpha3
-        return lhs == rhs
-
-    reports.append(_tuple_check("difference_reduction_mixed_left", space, 4, diff_mixed_left))
-
-    def diff_mixed_right(x, y, u, v):
-        sign = _sign((p(u) + p(v)) * (p(x) + p(y)))
-        xy = jordan.mul(x, y)
-        lhs = (L1(jordan, A2(xy)) @ L2(jordan, A(u), A(v)) @ alpha) - (
-            L2(jordan, A2(u), A2(v)) @ L1(jordan, xy) @ alpha
-        ).scale(sign)
-        inner = (
-            L1(jordan, L1(jordan, A2(v)).apply(L1(jordan, A(u)).apply(xy))) @ alpha3
-        ).scale(_sign(p(u) * p(v))) - (
-            L1(jordan, L1(jordan, A2(u)).apply(L1(jordan, A(v)).apply(xy))) @ alpha3
-        )
-        return lhs == inner.scale(sign)
-
-    reports.append(_tuple_check("difference_reduction_mixed_right", space, 4, diff_mixed_right))
-
-    # The swapped quadruple operator enters with an empirically resolved sign:
-    # the antisymmetrized pair operators force the combination
-    # L4(x,y,u,v) + (-1)^{|u||v|+|x||y|} L4(y,x,v,u); the subtracted variant is
-    # kept as the alternative candidate and the oracle records which holds.
-    def diff_pairs_with(combination_sign: int):
-        def predicate(x, y, u, v):
-            sign = _sign((p(u) + p(v)) * (p(x) + p(y)))
-            lhs = (L2(jordan, A2(x), A2(y)) @ L2(jordan, u, v)) - (
-                L2(jordan, A2(u), A2(v)) @ L2(jordan, x, y)
-            ).scale(sign)
-            rhs = L4(jordan, x, y, u, v) + L4(jordan, y, x, v, u).scale(
-                _sign(p(u) * p(v) + p(x) * p(y)) * combination_sign
+        elif name == "difference_reduction_pairs":
+            holding = _holding(found)
+            chosen = holding[0] if holding else +1
+            base = found[0 if chosen == +1 else 1]
+            reports.append(
+                CheckReport(
+                    name=name,
+                    passed=base.passed,
+                    tuples_checked=base.tuples_checked,
+                    counterexample=base.counterexample,
+                    detail=f"swapped-quadruple sign {_signs(holding)} holds; asserting {chosen:+d}",
+                )
             )
-            return lhs == rhs
-
-        return predicate
-
-    pairs_reports = {
-        s: _tuple_check("difference_reduction_pairs", space, 4, diff_pairs_with(s))
-        for s in (+1, -1)
-    }
-    holding = [s for s in (+1, -1) if pairs_reports[s].passed]
-    chosen = holding[0] if holding else +1
-    base = pairs_reports[chosen]
-    reports.append(
-        CheckReport(
-            name=base.name,
-            passed=base.passed,
-            tuples_checked=base.tuples_checked,
-            counterexample=base.counterexample,
-            detail=f"swapped-quadruple sign {'/'.join(f'{s:+d}' for s in holding) or 'none'} holds; asserting {chosen:+d}",
-        )
-    )
-
-    def triple_head(x, y, u, v):
-        xy = jordan.mul(x, y)
-        lhs = Lxy(jordan, triple_element(jordan, x, y, u), A2(v)) @ alpha2
-        rhs = (
-            (L1(jordan, L1(jordan, A2(v)).apply(L1(jordan, A(u)).apply(xy))) @ alpha3).scale(
-                _sign(p(u) * p(v) + (p(u) + p(v)) * (p(x) + p(y)))
-            )
-            + (L1(jordan, L2(jordan, A(x), A(y)).apply(jordan.mul(u, v))) @ alpha3)
-            - (L1(jordan, L1(jordan, A2(u)).apply(L2(jordan, x, y).apply(v))) @ alpha3).scale(
-                _sign(p(u) * (p(x) + p(y)))
-            )
-            - (L2(jordan, A2(v), jordan.mul(xy, A(u))) @ alpha2).scale(
-                _sign(p(v) * (p(u) + p(x) + p(y)))
-            )
-            + L4(jordan, x, y, u, v)
-        )
-        return lhs == rhs
-
-    reports.append(_tuple_check("triple_head_expansion", space, 4, triple_head))
-
-    def triple_tail(x, y, u, v):
-        xy = jordan.mul(x, y)
-        lhs = (Lxy(jordan, A2(u), triple_element(jordan, y, x, v)) @ alpha2).scale(
-            _sign(p(x) * p(y) + p(u) * (p(x) + p(y)))
-        )
-        rhs = (
-            (L1(jordan, L1(jordan, A2(u)).apply(L1(jordan, A(v)).apply(xy))) @ alpha3).scale(
-                _sign((p(u) + p(v)) * (p(x) + p(y)))
-            )
-            - (L1(jordan, L1(jordan, A2(u)).apply(L2(jordan, x, y).apply(v))) @ alpha3).scale(
-                _sign(p(u) * (p(x) + p(y)))
-            )
-            + (L2(jordan, A2(u), jordan.mul(A(v), xy)) @ alpha2).scale(
-                _sign((p(u) + p(v)) * (p(x) + p(y)))
-            )
-            - L4(jordan, y, x, v, u).scale(_sign(p(u) * p(v) + p(x) * p(y)))
-        )
-        return lhs == rhs
-
-    reports.append(_tuple_check("triple_tail_expansion", space, 4, triple_tail))
-
-    def supertriple(x, y, u, v):
-        total = (
-            (Lxy(jordan, A2(x), A2(y)) @ Lxy(jordan, u, v))
-            - (Lxy(jordan, A2(u), A2(v)) @ Lxy(jordan, x, y)).scale(
-                _sign((p(u) + p(v)) * (p(x) + p(y)))
-            )
-            - (Lxy(jordan, triple_element(jordan, x, y, u), A2(v)) @ alpha2)
-            + (Lxy(jordan, A2(u), triple_element(jordan, y, x, v)) @ alpha2).scale(
-                _sign(p(x) * p(y) + p(u) * (p(x) + p(y)))
-            )
-        )
-        return total.is_zero()
-
-    reports.append(_tuple_check("supertriple_operator_identity", space, 4, supertriple))
-
-    def pair_action_matches(x, y, z):
-        return Lxy(jordan, x, y).apply(z) == triple_element(jordan, x, y, z)
-
-    reports.append(_tuple_check("pair_action_matches_triple_product", space, 3, pair_action_matches))
-
-    if a.is_identity():
-        def double_bracket(b1, b2, b3):
-            lhs = super_bracket(super_bracket(L1(jordan, b1), L1(jordan, b2)), L1(jordan, b3))
-            rhs = L1(jordan, jordan.mul(b1, jordan.mul(b2, b3))) - L1(
-                jordan, jordan.mul(b2, jordan.mul(b1, b3))
-            ).scale(_sign(p(b1) * p(b2)))
-            return lhs == rhs
-
-        reports.append(_tuple_check("double_bracket_reduction", space, 3, double_bracket))
-
+        else:
+            reports.extend(found)
+        if name == "left_mul_supercommutativity":
+            # x+y is not multilinear, so additivity is checked directly; it keeps its report slot
+            reports.append(_additivity(jordan))
     return SuiteReport(suite="operator_lemmas", reports=tuple(reports))
-
-
-def supertriple_operator_check(jordan: HomSuperalgebra) -> CheckReport:
-    """Just the four-term operator combination, for comparison with the
-    element-level ternary suite on the derived system."""
-    report = None
-    space = jordan.space
-    a = jordan.twist
-    alpha2 = MatrixOperator.wrap(power(a, 2))
-    A2 = lambda e: apply_map(power(a, 2), e)
-    p = _parity
-
-    def predicate(x, y, u, v):
-        total = (
-            (Lxy(jordan, A2(x), A2(y)) @ Lxy(jordan, u, v))
-            - (Lxy(jordan, A2(u), A2(v)) @ Lxy(jordan, x, y)).scale(
-                _sign((p(u) + p(v)) * (p(x) + p(y)))
-            )
-            - (Lxy(jordan, triple_element(jordan, x, y, u), A2(v)) @ alpha2)
-            + (Lxy(jordan, A2(u), triple_element(jordan, y, x, v)) @ alpha2).scale(
-                _sign(p(x) * p(y) + p(u) * (p(x) + p(y)))
-            )
-        )
-        return total.is_zero()
-
-    return _tuple_check("supertriple_operator_identity", space, 4, predicate)

@@ -77,8 +77,12 @@ def _index(space: SuperSpace, name: str, where: str) -> int:
 
 
 def _parse_products(space: SuperSpace, entries, arity: int, label: str):
+    if entries is None:
+        entries = []
+    if not isinstance(entries, list):
+        raise AlgebraFileError(f"{label} must be a list of product rows, got {entries!r}")
     constants: dict[tuple, dict[int, Fraction]] = {}
-    for position, entry in enumerate(entries or []):
+    for position, entry in enumerate(entries):
         where = f"{label}[{position}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != arity + 2:
             raise AlgebraFileError(f"{where}: expected {arity + 2} fields, got {entry!r}")
@@ -131,20 +135,25 @@ def load(path) -> AlgebraDocument:
     for position, item in enumerate(raw_basis):
         if not isinstance(item, dict) or "name" not in item or "parity" not in item:
             raise AlgebraFileError(f"basis[{position}]: expected {{name, parity}}")
-        if item["parity"] not in (0, 1):
-            raise AlgebraFileError(f"basis[{position}]: parity must be 0 or 1")
-        pairs.append((str(item["name"]), int(item["parity"])))
+        name, parity = item["name"], item["parity"]
+        if not isinstance(name, str):
+            raise AlgebraFileError(f"basis[{position}]: name must be a string, got {name!r}")
+        if type(parity) is not int or parity not in (0, 1):
+            raise AlgebraFileError(f"basis[{position}]: parity must be 0 or 1, got {parity!r}")
+        pairs.append((name, parity))
     try:
         space = SuperSpace.build(pairs)
     except ValueError as exc:
         raise AlgebraFileError(str(exc)) from exc
 
-    maps = {
-        str(name): _parse_map(space, str(name), rows)
-        for name, rows in (data.get("maps") or {}).items()
-    }
+    raw_maps = data.get("maps", {})
+    if not isinstance(raw_maps, dict):
+        raise AlgebraFileError(f"maps must be an object of named matrices, got {raw_maps!r}")
+    maps = {name: _parse_map(space, name, rows) for name, rows in raw_maps.items()}
 
     twist_ref = data.get("twist", "id")
+    if not isinstance(twist_ref, str):
+        raise AlgebraFileError(f"twist must be 'id' or a map name, got {twist_ref!r}")
     if twist_ref == "id":
         twist = EvenMap.identity(space)
     elif twist_ref in maps:
@@ -174,7 +183,9 @@ def load(path) -> AlgebraDocument:
     else:
         structure = HomBinaryTernary(binary, ternary, twist)
 
-    name = str(data.get("name", path.stem))
+    name = data.get("name", path.stem)
+    if not isinstance(name, str):
+        raise AlgebraFileError(f"name must be a string, got {name!r}")
     return AlgebraDocument(name=name, structure=structure, maps=maps, convention=convention)
 
 

@@ -12,8 +12,7 @@ from superbol import (
     builtin_example,
     plus_algebra,
 )
-from superbol.engine import evaluate_on_elements
-from superbol.suites import binding_for, check_suite, suite
+from superbol.engine import check, evaluate_on_elements
 
 
 @pytest.fixture
@@ -62,15 +61,16 @@ def random_element(space: SuperSpace, rng: random.Random) -> Element:
     return Element(space, coords)
 
 
-def oracle_agreement(structure, suite_name: str, seed: int, samples: int = 100):
-    """Compare the basis-tuple verdict of every suite identity with seeded
-    random general-element evaluation; returns [(identity, agree, verdict)]."""
-    spec = suite(suite_name)
-    binding = binding_for(structure, spec)
-    report = check_suite(binding, spec)
+def oracle_agreement(binding, identities, seed: int, samples: int = 100, label: str = ""):
+    """Compare the basis-tuple verdict of every identity with seeded random
+    general-element evaluation; returns [(identity, agree, verdict)].
+
+    ``label`` (a suite name, say) is part of each identity's random seed.
+    """
     results = []
-    for identity, item in zip(spec.identities, report.reports):
-        rng = random.Random((seed, suite_name, identity.name).__repr__())
+    for identity in identities:
+        item = check(binding, identity)
+        rng = random.Random((seed, label, identity.name).__repr__())
         nonzero_seen = False
         for _ in range(samples):
             assignment = {var: random_element(binding.space, rng) for var in identity.variables}

@@ -58,7 +58,7 @@ from superbol.structures import (
     supercommutator,
     tern_mul,
 )
-from superbol.suites import run_suite
+from superbol.suites import binding_for, run_suite, suite
 
 UNIT, HALF = Convention.UNIT, Convention.HALF
 
@@ -296,7 +296,7 @@ def test_criterion_10_operator_lemmas():
     verdicts = {name: report[name].passed for name in CRITERION_10_CHECKS}
     ok = all(verdicts.values())
     failing = [name for name, passed in verdicts.items() if not passed]
-    record(10, "operator lemmas hold as exact matrix identities", ok,
+    record(10, "operator lemmas hold exactly, each operator equation applied to every basis vector", ok,
            f"failing: {failing}" if failing else "all listed checks pass")
 
 
@@ -418,7 +418,9 @@ def test_criterion_14_completeness_oracle():
     checked = 0
     for structure, suite_names in _criterion_14_matrix():
         for suite_name in suite_names:
-            for identity, agree, _ in oracle_agreement(structure, suite_name, seed=20260811, samples=100):
+            spec = suite(suite_name)
+            for identity, agree, _ in oracle_agreement(binding_for(structure, spec), spec.identities,
+                                                       seed=20260811, samples=100, label=suite_name):
                 checked += 1
                 if not agree:
                     disagreements.append(f"{suite_name}/{identity}")

@@ -172,6 +172,13 @@ def test_every_example_reverifiable_through_cli_alone(tmp_path, capsys, name, su
     assert code == 0 and "FAIL" not in out
 
 
+def test_mistyped_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "hom_superalgebra", "basis": [{"name": "i", "parity": 0}], "twist": ["x"]}))
+    code, _, err = run(capsys, "info", str(path))
+    assert code == 2 and "twist" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["check"]) == 2  # missing required arguments
     assert main(["not-a-command"]) == 2

@@ -75,27 +75,6 @@ def test_binding_rejects_wrong_arity_symbol(ex31):
         )
 
 
-def test_threaded_run_matches_serial(ex51, monkeypatch):
-    mutated = mutate_jk(ex51)
-    spec = suite("RIGHT_ALT")
-    binding = binding_for(mutated, spec)
-    serial = [check(binding, i) for i in spec.identities]
-    monkeypatch.setenv("SUPERBOL_THREADS", "3")
-    threaded = [check(binding, i) for i in spec.identities]
-    assert serial == threaded
-
-
-def test_bad_thread_setting_rejected(ex51, monkeypatch):
-    spec = suite("RIGHT_ALT")
-    binding = binding_for(ex51, spec)
-    monkeypatch.setenv("SUPERBOL_THREADS", "zero")
-    with pytest.raises(ValueError):
-        check(binding, spec.identities[0])
-    monkeypatch.setenv("SUPERBOL_THREADS", "0")
-    with pytest.raises(ValueError):
-        check(binding, spec.identities[0])
-
-
 def test_evaluate_on_elements_zero_for_passing_identity(ex51):
     spec = suite("RIGHT_ALT")
     binding = binding_for(ex51, spec)
@@ -121,10 +100,14 @@ def test_evaluate_on_elements_detects_mutation(ex51):
 
 
 def test_oracle_agreement_on_pass_and_fail(ex51):
-    for name, agree, _ in oracle_agreement(ex51, "RIGHT_ALT", seed=11, samples=20):
+    spec = suite("RIGHT_ALT")
+
+    def agreement(structure):
+        return oracle_agreement(binding_for(structure, spec), spec.identities, seed=11, samples=20, label=spec.name)
+
+    for name, agree, _ in agreement(ex51):
         assert agree, name
-    mutated = mutate_jk(ex51)
-    for name, agree, passed in oracle_agreement(mutated, "RIGHT_ALT", seed=11, samples=20):
+    for name, agree, passed in agreement(mutate_jk(ex51)):
         assert agree and not passed, name
 
 

@@ -1,44 +1,65 @@
 import pytest
 
+from conftest import oracle_agreement
+from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.constructions import hom_jordan_triple, plus_algebra, yau_twist_algebra
-from superbol.core import EvenMap
+from superbol.dsl import SignPoly, Var, build_identity
+from superbol.engine import evaluate_on_elements
 from superbol.operators import (
+    A,
     L1,
     L2,
     Lxy,
-    MatrixOperator,
+    koszul,
+    lemma_binding,
+    lemma_identities,
+    mul,
     pair_swap_signs,
-    super_bracket,
-    supertriple_operator_check,
     verify_operator_lemmas,
 )
 from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, tern_mul
 from superbol.suites import run_suite
+
+x, y, z = (Var(name) for name in "xyz")
 
 
 def b(name):
     return SPACE_1_2.basis_vector(name)
 
 
+def value(binding, combination, **assignment):
+    """Evaluate builder terms on basis vectors (by name) or on given elements."""
+    identity = build_identity("value", tuple(assignment), combination.terms)
+    elements = {var: b(v) if isinstance(v, str) else v for var, v in assignment.items()}
+    return evaluate_on_elements(identity, binding, elements)
+
+
+@pytest.fixture(scope="module")
+def plus51_lemmas():
+    return verify_operator_lemmas(plus_algebra(builtin_example("example_5_1"), Convention.UNIT))
+
+
 def test_left_multiplication_values(plus51):
-    op_i = L1(plus51, b("i"))
-    assert op_i.apply(b("j")) == SPACE_1_2.element({"k": 2})
-    assert op_i.apply(b("k")).is_zero()
-    assert op_i.apply(b("i")).is_zero()
-    op_j = L1(plus51, b("j"))
-    assert op_j.apply(b("i")) == SPACE_1_2.element({"k": 2})
-    assert op_j.parity == 1
-    assert L1(plus51, SPACE_1_2.zero()).is_zero()
+    binding = lemma_binding(plus51)
+    assert value(binding, L1(x), x="i", t="j") == SPACE_1_2.element({"k": 2})
+    assert value(binding, L1(x), x="i", t="k").is_zero()
+    assert value(binding, L1(x), x="i", t="i").is_zero()
+    assert value(binding, L1(x), x="j", t="i") == SPACE_1_2.element({"k": 2})
+    assert value(binding, L1(x), x=SPACE_1_2.zero(), t="j").is_zero()
 
 
-def test_left_multiplication_rejects_mixed(plus51):
-    with pytest.raises(ValueError):
-        L1(plus51, SPACE_1_2.element({"i": 1, "j": 1}))
+def test_operator_signs_are_sign_polynomials():
+    # every operation is even: a compound argument's parity is its variables' sum
+    assert koszul(mul(x, y), z) == SignPoly.parse("x.z + y.z")
+    assert koszul(A(x, 2), (y, z)) == SignPoly.parse("x.y + x.z")
+    assert koszul(x, x) == SignPoly.parse("x")
 
 
 def test_pair_operator_vanishes_on_even_diagonal(plus51):
-    assert L2(plus51, b("i"), b("i")).is_zero()
+    binding = lemma_binding(plus51)
+    for name in SPACE_1_2.names:
+        assert value(binding, L2(x, y), x="i", y="i", t=name).is_zero()
 
 
 def test_pair_operator_swap_antisymmetric(plus51):
@@ -51,32 +72,37 @@ def test_pair_swap_both_signs_on_zero_algebra():
 
 
 def test_pair_action_matches_derived_triple(plus51):
+    binding = lemma_binding(plus51)
     triple = hom_jordan_triple(plus51)
-    assert Lxy(plus51, b("i"), b("j")).apply(b("j")) == SPACE_1_2.element({"i": 8})
+    assert value(binding, Lxy(x, y), x="i", y="j", t="j") == SPACE_1_2.element({"i": 8})
     for xn in SPACE_1_2.names:
         for yn in SPACE_1_2.names:
-            operator = Lxy(plus51, b(xn), b(yn))
             for zn in SPACE_1_2.names:
-                assert operator.apply(b(zn)) == tern_mul(triple.ternary, b(xn), b(yn), b(zn))
+                assert value(binding, Lxy(x, y) @ z, x=xn, y=yn, z=zn) == tern_mul(
+                    triple.ternary, b(xn), b(yn), b(zn)
+                )
 
 
 def test_operator_parity_grading_enforced():
-    with pytest.raises(ValueError, match="parity"):
-        MatrixOperator(SPACE_1_2, ((0, 1, 0), (0, 0, 0), (0, 0, 0)), parity=0)
-    odd = MatrixOperator(SPACE_1_2, ((0, 1, 0), (1, 0, 0), (0, 0, 0)), parity=1)
-    even = MatrixOperator.wrap(EvenMap.identity(SPACE_1_2))
-    with pytest.raises(ValueError, match="parity"):
-        odd + even
-    assert (odd @ even).parity == 1
-    assert super_bracket(odd, odd).parity == 0
+    ungraded = HomSuperalgebra.untwisted(BinaryStructure(SPACE_1_2, {(0, 1): b("i")}))  # i*j must be odd
+    for checked in (True, False):
+        with pytest.raises(ValueError, match="parity"):
+            verify_operator_lemmas(ungraded, checked=checked)
 
 
-def test_all_operator_lemmas_pass_on_fixture(plus51):
-    report = verify_operator_lemmas(plus51)
+def test_all_operator_lemmas_pass_on_fixture(plus51_lemmas):
+    report = plus51_lemmas
     assert report.passed
     assert len(report.reports) == 19
     assert "asserting -1" in report["pair_operator_swap"].detail
     assert "asserting +1" in report["difference_reduction_pairs"].detail
+
+
+def test_operator_tuples_are_counted_without_the_applied_vector(plus51_lemmas):
+    counts = {r.name: r.tuples_checked for r in plus51_lemmas.reports}
+    assert counts["twist_naturality_single"] == 3
+    assert counts["supertriple_operator_identity"] == 81
+    assert counts["pair_action_matches_triple_product"] == 27  # an element equation in x, y, z
 
 
 def test_operator_lemmas_pass_with_nontrivial_twist(ex51):
@@ -104,9 +130,9 @@ def perturbed_jordan(plus51):
     return HomSuperalgebra(BinaryStructure(SPACE_1_2, constants), plus51.twist)
 
 
-def test_operator_identity_agrees_with_element_level_check(plus51):
+def test_operator_identity_agrees_with_element_level_check(plus51, plus51_lemmas):
     # pass direction
-    operator_report = supertriple_operator_check(plus51)
+    operator_report = plus51_lemmas["supertriple_operator_identity"]
     triple = hom_jordan_triple(plus51)
     element_report = run_suite(triple, "HOM_JORDAN_TRIPLE")["triple_identity_twisted"]
     assert operator_report.passed and element_report.passed
@@ -114,8 +140,32 @@ def test_operator_identity_agrees_with_element_level_check(plus51):
     # fail direction: same verdict and matching counterexample prefix
     broken = perturbed_jordan(plus51)
     assert run_suite(broken, "SUPERCOMMUTATIVE").passed
-    operator_report = supertriple_operator_check(broken)
+    operator_report = verify_operator_lemmas(broken, checked=False)["supertriple_operator_identity"]
     triple = hom_jordan_triple(broken, checked=False)
     element_report = run_suite(triple, "HOM_JORDAN_TRIPLE")["triple_identity_twisted"]
     assert not operator_report.passed and not element_report.passed
     assert element_report.counterexample[:4] == operator_report.counterexample
+
+
+# Both sign candidates are identities of their own; one of each pair fails.
+CANDIDATES = {"pair_operator_swap", "difference_reduction_pairs"}
+PERTURBED_FAILURES = {
+    "jordan_cyclic_operator_sum",
+    "nested_left_mul_reduction",
+    "difference_reduction_mixed_left",
+    "difference_reduction_mixed_right",
+    "triple_head_expansion",
+    "triple_tail_expansion",
+    "supertriple_operator_identity",
+    "double_bracket_reduction",
+}
+
+
+@pytest.mark.parametrize("perturbed,failing", [(False, CANDIDATES), (True, CANDIDATES | PERTURBED_FAILURES)])
+def test_lemma_verdicts_agree_with_element_oracle(plus51, perturbed, failing):
+    jordan = perturbed_jordan(plus51) if perturbed else plus51
+    results = oracle_agreement(
+        lemma_binding(jordan), lemma_identities(), seed=20261017, samples=2, label="operator_lemmas"
+    )
+    assert [name for name, agree, _ in results if not agree] == []
+    assert {name for name, _, passed in results if not passed} == failing

@@ -119,6 +119,25 @@ def test_bad_convention_rejected(tmp_path):
         load(_write(tmp_path, payload))
 
 
+@pytest.mark.parametrize(
+    "payload,match",
+    [
+        (dict(BASE, twist=["x"]), "twist"),
+        (dict(BASE, maps=[]), "maps"),
+        (dict(BASE, name=["t"]), "name"),
+        (dict(BASE, binary=5), "binary"),
+        (dict(BASE, basis=[{"name": "i", "parity": 0}, {"name": "j", "parity": True}, {"name": "k", "parity": 1}]),
+         r"basis\[1\].*parity"),
+        (dict(BASE, binary=[], basis=[{"name": ["i"], "parity": 0}, {"name": "j", "parity": 1}, {"name": "k", "parity": 1}]),
+         r"basis\[0\].*name"),
+    ],
+    ids=["twist-list", "maps-list", "name-list", "binary-int", "parity-bool", "basis-name-list"],
+)
+def test_mistyped_field_rejected(tmp_path, payload, match):
+    with pytest.raises(AlgebraFileError, match=match):
+        load(_write(tmp_path, payload))
+
+
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
