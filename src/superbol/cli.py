@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 an identity or construction precondition
 failed (the report names the suite, identity, counterexample tuple, and
-residue), 2 input or usage error.
+residue), 2 input or usage error, 3 internal error (an unexpected exception,
+reported on stderr without a traceback).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .storage import (
     load,
     save,
 )
-from .structures import HomTripleSystem, grading_check, is_multiplicative
+from .structures import HomTripleSystem, grading_check, is_multiplicative, structure_parts
 from .suites import SUITE_NAMES, run_suite, suite
 
 
@@ -224,15 +225,13 @@ def cmd_info(args) -> int:
     print(f"convention: {document.convention.value}")
     print(f"dimension: {space.dim} (even {space.dim_even} | odd {space.dim_odd})")
     print("basis: " + ", ".join(f"{n}[{p}]" for n, p in space.basis))
-    binary = getattr(structure, "binary", None)
+    binary, ternary, twist = structure_parts(structure)
     if binary is not None:
         print(f"binary constants: {len(binary.constants)} nonzero")
         print(f"binary grading: {'ok' if grading_check(binary).passed else 'VIOLATED'}")
-    ternary = getattr(structure, "ternary", None)
     if ternary is not None:
         print(f"ternary constants: {len(ternary.constants)} nonzero")
         print(f"ternary grading: {'ok' if grading_check(ternary).passed else 'VIOLATED'}")
-    twist = structure.twist
     print(f"twist: {'identity' if twist.is_identity() else 'nontrivial'}")
     print(f"multiplicative: {'yes' if is_multiplicative(structure).passed else 'no'}")
     if document.maps:
@@ -310,6 +309,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 from .constructions import hom_jordan_triple
 from .dsl import ANGLE, STAR, Call, Expr, Identity, SignPoly, Term, Twist, Var, build_identity, variable_counts
-from .engine import StructureBinding, check
+from .engine import CompiledBinding, StructureBinding, check
 from .reports import CheckReport, SuiteReport
 from .structures import HomSuperalgebra, grading_check, is_multiplicative
 from .suites import run_suite
@@ -270,7 +270,7 @@ def lemma_binding(jordan: HomSuperalgebra) -> StructureBinding:
     return StructureBinding(jordan.space, {STAR: jordan.binary, ANGLE: ternary}, jordan.twist)
 
 
-def _lemma_report(binding: StructureBinding, identity: Identity) -> CheckReport:
+def _lemma_report(binding: CompiledBinding, identity: Identity) -> CheckReport:
     """The engine's verdict, counting and naming operator tuples for operator equations."""
     report = check(binding, identity)
     tuples, counterexample = report.tuples_checked, report.counterexample
@@ -295,7 +295,7 @@ def pair_swap_signs(jordan: HomSuperalgebra) -> tuple[int, ...]:
     can only hold when every pair operator vanishes.  Both candidates are
     evaluated so the selection is an observed fact, not an assumption.
     """
-    binding = lemma_binding(jordan)
+    binding = CompiledBinding(lemma_binding(jordan))
     candidates = [i for i in lemma_identities(untwisted=False) if i.name == "pair_operator_swap"]
     return _holding([_lemma_report(binding, identity) for identity in candidates])
 
@@ -333,7 +333,7 @@ def verify_operator_lemmas(jordan: HomSuperalgebra, checked: bool = True) -> Sui
             failure = jordan_suite.first_failure()
             raise ValueError(f"operator lemmas need a twisted Jordan product: {failure.describe()}")
 
-    binding = lemma_binding(jordan)
+    binding = CompiledBinding(lemma_binding(jordan))
     results: dict[str, list[CheckReport]] = {}
     for identity in lemma_identities(jordan.twist.is_identity()):
         results.setdefault(identity.name, []).append(_lemma_report(binding, identity))

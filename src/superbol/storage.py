@@ -24,6 +24,7 @@ from .structures import (
     HomTripleSystem,
     TernaryStructure,
     grading_check,
+    structure_parts,
 )
 
 KIND_BINARY = "hom_superalgebra"
@@ -209,7 +210,7 @@ def document_to_dict(document: AlgebraDocument) -> dict:
     structure = document.structure
     maps = dict(document.maps)
 
-    twist = getattr(structure, "twist")
+    binary, ternary, twist = structure_parts(structure)
     if twist.is_identity():
         twist_ref = "id"
     else:
@@ -228,10 +229,8 @@ def document_to_dict(document: AlgebraDocument) -> dict:
         "maps": {name: _map_rows(maps[name]) for name in sorted(maps)},
         "twist": twist_ref,
     }
-    binary = getattr(structure, "binary", None)
     if binary is not None:
         data["binary"] = _product_rows(space, binary.constants, 2)
-    ternary = getattr(structure, "ternary", None)
     if ternary is not None:
         data["ternary"] = _product_rows(space, ternary.constants, 3)
     return data

@@ -12,7 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .core import (
     Element,
@@ -180,6 +180,24 @@ class HomBinaryTernary:
 Structure = Union[BinaryStructure, TernaryStructure, HomSuperalgebra, HomTripleSystem, HomBinaryTernary]
 
 
+def structure_parts(
+    structure: Structure,
+) -> tuple[Optional[BinaryStructure], Optional[TernaryStructure], EvenMap]:
+    """The (binary, ternary, twist) of a structure; a missing product is None,
+    and a bare structure-constant tensor carries the identity twist."""
+    if isinstance(structure, HomSuperalgebra):
+        return structure.binary, None, structure.twist
+    if isinstance(structure, HomTripleSystem):
+        return None, structure.ternary, structure.twist
+    if isinstance(structure, HomBinaryTernary):
+        return structure.binary, structure.ternary, structure.twist
+    if isinstance(structure, BinaryStructure):
+        return structure, None, EvenMap.identity(structure.space)
+    if isinstance(structure, TernaryStructure):
+        return None, structure, EvenMap.identity(structure.space)
+    raise TypeError(f"not a binary or ternary structure: {type(structure).__name__}")
+
+
 def bin_mul(structure: BinaryStructure, x: Element, y: Element) -> Element:
     """Bilinear extension of the stored structure constants."""
     if x.space != structure.space or y.space != structure.space:
@@ -284,8 +302,8 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
     if f.space != space:
         raise ValueError("candidate map lives in a different superspace")
 
-    twist = getattr(structure, "twist", None)
-    if twist is not None:
+    binary, ternary, twist = structure_parts(structure)
+    if not isinstance(structure, (BinaryStructure, TernaryStructure)):
         checked += 1
         if compose(f, twist) != compose(twist, f):
             return CheckReport(
@@ -294,9 +312,6 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
                 tuples_checked=checked,
                 detail="candidate does not commute with the twist",
             )
-
-    binary = getattr(structure, "binary", structure if isinstance(structure, BinaryStructure) else None)
-    ternary = getattr(structure, "ternary", structure if isinstance(structure, TernaryStructure) else None)
 
     if binary is not None:
         for i, j in itertools.product(range(space.dim), repeat=2):

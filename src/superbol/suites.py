@@ -22,16 +22,7 @@ from .core import EvenMap, SuperSpace
 from .dsl import Identity, parse_identity
 from .engine import StructureBinding, check_identities
 from .reports import SuiteReport
-from .structures import (
-    BinaryStructure,
-    Convention,
-    HomBinaryTernary,
-    HomSuperalgebra,
-    HomTripleSystem,
-    TernaryStructure,
-    derived_super_jordan,
-    derived_supercommutator,
-)
+from .structures import Convention, derived_super_jordan, derived_supercommutator, structure_parts
 
 TWIST_STRUCTURE = "structure"
 TWIST_IDENTITY = "identity"
@@ -288,23 +279,9 @@ def suite(name: str) -> SuiteSpec:
     return _SUITES[key]
 
 
-def _structure_parts(structure):
-    if isinstance(structure, HomSuperalgebra):
-        return structure.binary, None, structure.twist
-    if isinstance(structure, HomTripleSystem):
-        return None, structure.ternary, structure.twist
-    if isinstance(structure, HomBinaryTernary):
-        return structure.binary, structure.ternary, structure.twist
-    if isinstance(structure, BinaryStructure):
-        return structure, None, EvenMap.identity(structure.space)
-    if isinstance(structure, TernaryStructure):
-        return None, structure, EvenMap.identity(structure.space)
-    raise TypeError(f"cannot bind suites to {type(structure).__name__}")
-
-
 def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
     """Derive the operation bindings the suite expects from a structure."""
-    binary, ternary, twist = _structure_parts(structure)
+    binary, ternary, twist = structure_parts(structure)
     space: SuperSpace = structure.space
     ops = {}
     for symbol, source in spec.bindings:

@@ -182,3 +182,15 @@ def test_mistyped_file_is_an_input_error(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["check"]) == 2  # missing required arguments
     assert main(["not-a-command"]) == 2
+
+
+def test_unexpected_exception_is_an_internal_error(ex51_file, monkeypatch, capsys):
+    import superbol.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_info", broken)
+    code, _, err = run(capsys, "info", str(ex51_file))
+    assert code == 3
+    assert err.strip() == "internal error: RuntimeError: boom"
