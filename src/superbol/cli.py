@@ -83,6 +83,13 @@ def _load(path: str) -> AlgebraDocument:
         raise UsageError(str(exc)) from exc
 
 
+def _write_derived(source: AlgebraDocument, name: str, structure, path: str) -> int:
+    """Save ``structure`` with the source file's maps and convention."""
+    save(AlgebraDocument(name=name, structure=structure, maps=source.maps, convention=source.convention), path)
+    print(f"wrote {path}")
+    return 0
+
+
 def _require_kind(document: AlgebraDocument, kinds: tuple[str, ...], action: str) -> None:
     if document.kind not in kinds:
         raise UsageError(f"{action} needs a file of kind {' or '.join(kinds)}, got {document.kind}")
@@ -136,15 +143,7 @@ def cmd_construct(args) -> int:
         built = hom_bol_from_right_hom_alternative(structure, conv, checked=checked)
     else:
         built = lie_triple_from_jordan_triple(structure, checked=checked)
-    out = AlgebraDocument(
-        name=f"{args.name}({document.name})",
-        structure=built,
-        maps=document.maps,
-        convention=conv,
-    )
-    save(out, args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _write_derived(document, f"{args.name}({document.name})", built, args.output)
 
 
 def cmd_twist(args) -> int:
@@ -161,15 +160,7 @@ def cmd_twist(args) -> int:
         built = yau_twist_triple(document.structure, beta, args.n)
     else:
         built = yau_twist_algebra(document.structure, beta, args.n)
-    out = AlgebraDocument(
-        name=f"twist({document.name},{args.map},{args.n})",
-        structure=built,
-        maps=document.maps,
-        convention=document.convention,
-    )
-    save(out, args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _write_derived(document, f"twist({document.name},{args.map},{args.n})", built, args.output)
 
 
 def cmd_derive(args) -> int:
@@ -178,15 +169,7 @@ def cmd_derive(args) -> int:
     if args.n < 0:
         raise UsageError("derivation index -n must be nonnegative")
     built = nth_derived(document.structure, args.n)
-    out = AlgebraDocument(
-        name=f"derived({document.name},{args.n})",
-        structure=built,
-        maps=document.maps,
-        convention=document.convention,
-    )
-    save(out, args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return _write_derived(document, f"derived({document.name},{args.n})", built, args.output)
 
 
 def cmd_lemmas(args) -> int:

@@ -1,9 +1,13 @@
 """Derived structures: minus/plus algebras, derived ternary brackets, twists.
 
-Every builder verifies its preconditions by running the relevant identity
-suites before constructing (pass ``checked=False`` to skip, mirroring the
-CLI's ``--unchecked``).  A failed precondition raises
-:class:`ConstructionError` carrying the stage name and the failing report.
+Every derived product is defined once, as a DSL term sum, and its structure
+constants are tabulated by the engine on all basis tuples
+(:func:`suites.tabulated`); the element-level products in ``structures`` are
+only the tests' references for them.  Every builder verifies its
+preconditions by running the relevant identity suites before constructing
+(pass ``checked=False`` to skip, mirroring the CLI's ``--unchecked``).  A
+failed precondition raises :class:`ConstructionError` carrying the stage name
+and the failing report.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Element, EvenMap, Scalar, SuperSpace, apply_map, compose, parity_of, power, rational
+from .dsl import ANGLE, STAR, build_identity, parse_identity
 from .reports import CheckReport
 from .structures import (
     BinaryStructure,
@@ -22,13 +27,20 @@ from .structures import (
     HomSuperalgebra,
     HomTripleSystem,
     TernaryStructure,
-    hom_associator,
     is_even_self_morphism,
     is_multiplicative,
-    super_jordan,
-    supercommutator,
 )
-from .suites import run_suite
+from .suites import SUPER_JORDAN, SUPERCOMMUTATOR, graded_product, run_suite, tabulated
+
+_JORDAN_LTS = parse_identity("2 (x*(y*z)) - 2 (-1)^{x.y} (y*(x*z)) = 0", name="jordan_lts_bracket")
+# Keyed (x, y, z) although the term reads its variables as y, z, x.
+_BOL_TERNARY = build_identity(
+    "bol_ternary", ("x", "y", "z"), parse_identity("(-1)^{x.y + x.z} as(y,z,x) = 0").terms
+)
+_HOM_JORDAN_TRIPLE = parse_identity(
+    "((x*y)*A(z)) + (A(x)*(y*z)) - (-1)^{x.y} (A(y)*(x*z)) = 0", name="hom_jordan_triple"
+)
+_LIE_TRIPLE = parse_identity("<x,y,z> - (-1)^{x.y} <y,x,z> = 0", name="lie_triple")
 
 
 class ConstructionError(ValueError):
@@ -61,14 +73,6 @@ def _require_identity_twist(algebra, stage: str) -> None:
         raise ConstructionError(stage, "construction requires the identity twist")
 
 
-def _binary_from(space: SuperSpace, product) -> BinaryStructure:
-    constants = {
-        (i, j): product(space.basis_vector(i), space.basis_vector(j))
-        for i, j in itertools.product(range(space.dim), repeat=2)
-    }
-    return BinaryStructure(space, constants)
-
-
 def _ternary_from(space: SuperSpace, product) -> TernaryStructure:
     constants = {
         (i, j, k): product(*(space.basis_vector(n) for n in (i, j, k)))
@@ -79,14 +83,12 @@ def _ternary_from(space: SuperSpace, product) -> TernaryStructure:
 
 def minus_algebra(algebra: HomSuperalgebra, conv: Convention = Convention.UNIT) -> HomSuperalgebra:
     """Replace the product by its graded antisymmetrization; same twist."""
-    binary = _binary_from(algebra.space, lambda x, y: supercommutator(algebra, conv, x, y))
-    return HomSuperalgebra(binary, algebra.twist)
+    return HomSuperalgebra(graded_product(algebra.binary, conv, SUPERCOMMUTATOR), algebra.twist)
 
 
 def plus_algebra(algebra: HomSuperalgebra, conv: Convention = Convention.UNIT) -> HomSuperalgebra:
     """Replace the product by its graded symmetrization; same twist."""
-    binary = _binary_from(algebra.space, lambda x, y: super_jordan(algebra, conv, x, y))
-    return HomSuperalgebra(binary, algebra.twist)
+    return HomSuperalgebra(graded_product(algebra.binary, conv, SUPER_JORDAN), algebra.twist)
 
 
 def jordan_lts_bracket(jordan: HomSuperalgebra, checked: bool = True) -> TernaryStructure:
@@ -94,12 +96,7 @@ def jordan_lts_bracket(jordan: HomSuperalgebra, checked: bool = True) -> Ternary
     _require_identity_twist(jordan, "jordan_lts_bracket")
     if checked:
         _require_suite(jordan, "SUPERCOMMUTATIVE", "jordan_lts_bracket")
-
-    def bracket(x: Element, y: Element, z: Element) -> Element:
-        sign = -1 if parity_of(x) == 1 and parity_of(y) == 1 else 1
-        return (jordan.mul(x, jordan.mul(y, z)) - jordan.mul(y, jordan.mul(x, z)).scale(sign)).scale(2)
-
-    return _ternary_from(jordan.space, bracket)
+    return TernaryStructure(jordan.space, tabulated(_JORDAN_LTS, {STAR: jordan.binary}))
 
 
 def bol_from_right_alternative(
@@ -114,14 +111,9 @@ def bol_from_right_alternative(
     if checked:
         _require_suite(algebra, "RIGHT_ALT", "bol_from_right_alternative")
     plus = plus_algebra(algebra, conv)
-
-    def ternary(x: Element, y: Element, z: Element) -> Element:
-        exponent = (parity_of(x) * (parity_of(y) + parity_of(z))) % 2
-        return hom_associator(plus, y, z, x).scale(-1 if exponent else 1)
-
     return HomBinaryTernary(
         binary=minus_algebra(algebra, conv).binary,
-        ternary=_ternary_from(algebra.space, ternary),
+        ternary=TernaryStructure(algebra.space, tabulated(_BOL_TERNARY, {STAR: plus.binary})),
         twist=EvenMap.identity(algebra.space),
     )
 
@@ -142,7 +134,7 @@ def hom_jordan_triple(jordan: HomSuperalgebra, checked: bool = True) -> HomTripl
     if checked:
         _require_check(is_multiplicative(jordan), "hom_jordan_triple")
         _require_suite(jordan, "HOM_JORDAN", "hom_jordan_triple")
-    ternary = _ternary_from(jordan.space, lambda x, y, z: triple_element(jordan, x, y, z))
+    ternary = TernaryStructure(jordan.space, tabulated(_HOM_JORDAN_TRIPLE, {STAR: jordan.binary}, jordan.twist))
     return HomTripleSystem(ternary, power(jordan.twist, 2))
 
 
@@ -150,12 +142,8 @@ def lie_triple_from_jordan_triple(triple: HomTripleSystem, checked: bool = True)
     """Antisymmetrize the first pair: [x,y,z] = <x,y,z> - (-1)^{|x||y|}<y,x,z>."""
     if checked:
         _require_suite(triple, "HOM_JORDAN_TRIPLE", "lie_triple_from_jordan_triple")
-
-    def bracket(x: Element, y: Element, z: Element) -> Element:
-        sign = -1 if parity_of(x) == 1 and parity_of(y) == 1 else 1
-        return triple.mul(x, y, z) - triple.mul(y, x, z).scale(sign)
-
-    return HomTripleSystem(_ternary_from(triple.space, bracket), triple.twist)
+    ternary = TernaryStructure(triple.space, tabulated(_LIE_TRIPLE, {ANGLE: triple.ternary}))
+    return HomTripleSystem(ternary, triple.twist)
 
 
 def hom_bol_from_right_hom_alternative(

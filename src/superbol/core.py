@@ -255,11 +255,6 @@ class EvenMap:
         return EvenMap(space, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zero(space: SuperSpace) -> "EvenMap":
-        n = space.dim
-        return EvenMap(space, tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
-
-    @staticmethod
     def from_images(space: SuperSpace, images: Mapping[str, Element]) -> "EvenMap":
         """Build a map from its action on every named basis vector."""
         missing = set(space.names) - set(images)

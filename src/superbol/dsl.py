@@ -39,9 +39,6 @@ BRACES = "{}"
 ANGLE = "<>"
 ASSOC = "as"
 
-BINARY_OPS = (STAR, BRACKET, JORDAN)
-TERNARY_OPS = (BRACES, ANGLE)
-
 
 class IdentitySyntaxError(ValueError):
     """Raised on malformed identity text; carries the source position."""

@@ -9,7 +9,10 @@ the full enumeration whatever the verdict.
 :func:`check` runs a kernel compiled once per binding
 (:class:`CompiledBinding`): exact sparse tensors, Koszul signs tabulated per
 parity pattern, and memoized value tables for every proper sub-term, so each
-tuple only combines the top node of each term.
+tuple only combines the top node of each term.  :func:`tabulate` walks the
+same tuples and returns the nonzero values instead of a verdict; every
+derived product of the toolkit (supercommutator, Jordan product, the Bol and
+triple ternaries) is a term sum built this way.
 
 Checking only homogeneous basis tuples is sound and complete here because
 every identity :func:`dsl.build_identity` admits, parsed or built, is
@@ -333,17 +336,9 @@ class CompiledBinding:
         return kind(self._tensor(expr.op), args, _child_keys(expr.args))
 
 
-def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity) -> CheckReport:
-    """Evaluate every term on every homogeneous basis tuple; exact verdict.
-
-    The residue at each tuple is the signed, coefficient-weighted sum of the
-    identity's terms; the identity passes iff the residue is the zero element
-    at all tuples.  The counterexample reported for a failing identity is the
-    lexicographically first failing tuple in basis order.  A plain binding is
-    compiled for this one check; pass a :class:`CompiledBinding` to share its
-    tensors and sub-term tables between checks.
-    """
-    compiled = binding if isinstance(binding, CompiledBinding) else CompiledBinding(binding)
+def _walk(compiled: CompiledBinding, identity: Identity):
+    """Yield ``(indices, residue)`` at every basis tuple in lexicographic order;
+    the residue dict may hold zero entries."""
     space, variables = compiled.space, identity.variables
     terms = []
     for term in identity.terms:
@@ -354,7 +349,6 @@ def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity)
         }
         terms.append((node.accumulate, itemgetter(*map(variables.index, order)), factors))
 
-    failure = None
     for indices, parities in zip(
         itertools.product(range(space.dim), repeat=identity.arity),
         itertools.product(space.parities, repeat=identity.arity),
@@ -362,6 +356,27 @@ def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity)
         residue: dict[int, Scalar] = {}
         for accumulate, key, factors in terms:
             accumulate(key(indices), factors[parities], residue)
+        yield indices, residue
+
+
+def _compiled(binding: Union[StructureBinding, CompiledBinding]) -> CompiledBinding:
+    return binding if isinstance(binding, CompiledBinding) else CompiledBinding(binding)
+
+
+def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity) -> CheckReport:
+    """Evaluate every term on every homogeneous basis tuple; exact verdict.
+
+    The residue at each tuple is the signed, coefficient-weighted sum of the
+    identity's terms; the identity passes iff the residue is the zero element
+    at all tuples.  The counterexample reported for a failing identity is the
+    lexicographically first failing tuple in basis order.  A plain binding is
+    compiled for this one check; pass a :class:`CompiledBinding` to share its
+    tensors and sub-term tables between checks.
+    """
+    compiled = _compiled(binding)
+    space = compiled.space
+    failure = None
+    for indices, residue in _walk(compiled, identity):
         if failure is None and any(residue.values()):
             failure = (indices, residue)
 
@@ -376,6 +391,18 @@ def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity)
         counterexample=tuple(space.names[i] for i in indices),
         residue=Element(space, residue),
     )
+
+
+def tabulate(binding: Union[StructureBinding, CompiledBinding], identity: Identity) -> dict[tuple[int, ...], Element]:
+    """The nonzero values of the identity's term sum, keyed by basis-index
+    tuple in the order of ``identity.variables``: the structure constants of
+    the product the term sum defines."""
+    compiled = _compiled(binding)
+    return {
+        indices: Element(compiled.space, residue)
+        for indices, residue in _walk(compiled, identity)
+        if any(residue.values())
+    }
 
 
 def check_identities(binding: StructureBinding, identities: Sequence[Identity], suite_name: str) -> SuiteReport:

@@ -190,7 +190,7 @@ def load(path) -> AlgebraDocument:
     return AlgebraDocument(name=name, structure=structure, maps=maps, convention=convention)
 
 
-def _product_rows(space: SuperSpace, constants, arity: int):
+def _product_rows(space: SuperSpace, constants):
     rows = []
     for key in sorted(constants):
         element = constants[key]
@@ -230,9 +230,9 @@ def document_to_dict(document: AlgebraDocument) -> dict:
         "twist": twist_ref,
     }
     if binary is not None:
-        data["binary"] = _product_rows(space, binary.constants, 2)
+        data["binary"] = _product_rows(space, binary.constants)
     if ternary is not None:
-        data["ternary"] = _product_rows(space, ternary.constants, 3)
+        data["ternary"] = _product_rows(space, ternary.constants)
     return data
 
 

@@ -1,15 +1,17 @@
 """Structure-constant models of binary and ternary twisted superalgebras.
 
 A structure is a sparse tensor mapping basis tuples to elements; absent
-entries are zero products.  All product operations extend multilinearly, and
-sign-sensitive derived products (graded symmetrization/antisymmetrization)
-decompose their inputs into homogeneous components first.
+entries are zero products.  The element-level products here (``bin_mul``,
+``tern_mul``, the twisted associator and the graded (anti)symmetrizations,
+which split their inputs into homogeneous components first) extend the
+tensors multilinearly.  They serve the general-element oracle and the tests'
+references; derived tables are built by the engine from DSL term sums, and
+the self-morphism laws below are identities the engine checks.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -24,6 +26,7 @@ from .core import (
     is_even_matrix,
     parity_of,
 )
+from .dsl import BRACES, BRACKET, parse_identity
 from .reports import CheckReport
 
 
@@ -77,9 +80,6 @@ class BinaryStructure:
     def zero(space: SuperSpace) -> "BinaryStructure":
         return BinaryStructure(space, {})
 
-    def constant(self, i: int, j: int) -> Element:
-        return self.constants.get((i, j), self.space.zero())
-
 
 @dataclass(frozen=True)
 class TernaryStructure:
@@ -109,9 +109,6 @@ class TernaryStructure:
     @staticmethod
     def zero(space: SuperSpace) -> "TernaryStructure":
         return TernaryStructure(space, {})
-
-    def constant(self, i: int, j: int, k: int) -> Element:
-        return self.constants.get((i, j, k), self.space.zero())
 
 
 @dataclass(frozen=True)
@@ -151,9 +148,6 @@ class HomTripleSystem:
     @property
     def space(self) -> SuperSpace:
         return self.ternary.space
-
-    def mul(self, x: Element, y: Element, z: Element) -> Element:
-        return tern_mul(self.ternary, x, y, z)
 
     @staticmethod
     def untwisted(ternary: TernaryStructure) -> "HomTripleSystem":
@@ -278,14 +272,21 @@ def grading_check(structure: Union[BinaryStructure, TernaryStructure]) -> CheckR
     return CheckReport(name="grading", passed=True, tuples_checked=checked)
 
 
+BINARY_MULTIPLICATIVITY = parse_identity("A([x,y]) - [A(x),A(y)] = 0", name="binary_multiplicativity")
+TERNARY_MULTIPLICATIVITY = parse_identity("A({x,y,z}) - {A(x),A(y),A(z)} = 0", name="ternary_multiplicativity")
+
+
 def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphism") -> CheckReport:
     """Check that f commutes with every operation of the structure and its twist.
 
     ``f`` may be an :class:`EvenMap` or a raw square matrix of rationals (rows
     indexed by target basis vector).  Conditions, in report order: f is even,
     f commutes with the twist, f is a morphism for the binary product on all
-    basis pairs, and for the ternary product on all basis triples.  The report
-    carries the first failing condition and tuple.
+    basis pairs, and for the ternary product on all basis triples.  The two
+    morphism laws are the identities above, checked by the engine with the
+    twist symbol bound to f.  The report carries the first failing condition
+    and tuple; ``tuples_checked`` counts the conditions up to and including
+    it, basis tuples in lexicographic order.
     """
     space = structure.space
     checked = 0
@@ -313,63 +314,35 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
                 detail="candidate does not commute with the twist",
             )
 
+    # The engine imports this module, so a top-level import would be circular.
+    from .engine import CompiledBinding, StructureBinding, check
+
+    ops, laws = {}, []
     if binary is not None:
-        for i, j in itertools.product(range(space.dim), repeat=2):
-            checked += 1
-            x, y = space.basis_vector(i), space.basis_vector(j)
-            lhs = apply_map(f, bin_mul(binary, x, y))
-            rhs = bin_mul(binary, apply_map(f, x), apply_map(f, y))
-            if lhs != rhs:
-                names = (space.names[i], space.names[j])
-                return CheckReport(
-                    name=name,
-                    passed=False,
-                    tuples_checked=checked,
-                    counterexample=names,
-                    residue=lhs - rhs,
-                    detail=f"binary images differ at ({', '.join(names)})",
-                )
+        ops[BRACKET] = binary
+        laws.append((BINARY_MULTIPLICATIVITY, "binary"))
     if ternary is not None:
-        for i, j, k in itertools.product(range(space.dim), repeat=3):
-            checked += 1
-            x, y, z = (space.basis_vector(n) for n in (i, j, k))
-            lhs = apply_map(f, tern_mul(ternary, x, y, z))
-            rhs = tern_mul(ternary, apply_map(f, x), apply_map(f, y), apply_map(f, z))
-            if lhs != rhs:
-                names = (space.names[i], space.names[j], space.names[k])
-                return CheckReport(
-                    name=name,
-                    passed=False,
-                    tuples_checked=checked,
-                    counterexample=names,
-                    residue=lhs - rhs,
-                    detail=f"ternary images differ at ({', '.join(names)})",
-                )
+        ops[BRACES] = ternary
+        laws.append((TERNARY_MULTIPLICATIVITY, "ternary"))
+    compiled = CompiledBinding(StructureBinding(space, ops, f))
+    for law, label in laws:
+        report = check(compiled, law)
+        if not report.passed:
+            rank = 0
+            for basis_name in report.counterexample:
+                rank = rank * space.dim + space.index(basis_name)
+            return CheckReport(
+                name=name,
+                passed=False,
+                tuples_checked=checked + rank + 1,
+                counterexample=report.counterexample,
+                residue=report.residue,
+                detail=f"{label} images differ at ({', '.join(report.counterexample)})",
+            )
+        checked += report.tuples_checked
     return CheckReport(name=name, passed=True, tuples_checked=checked)
 
 
 def is_multiplicative(structure: Union[HomSuperalgebra, HomTripleSystem, HomBinaryTernary]) -> CheckReport:
     """Does the structure's own twist commute with all its products on basis tuples?"""
     return is_even_self_morphism(structure, structure.twist, name="multiplicativity")
-
-
-def derived_supercommutator(binary: BinaryStructure, conv: Convention) -> BinaryStructure:
-    """Structure constants of the graded antisymmetrization of ``binary``."""
-    algebra = HomSuperalgebra.untwisted(binary)
-    space = binary.space
-    constants = {
-        (i, j): supercommutator(algebra, conv, space.basis_vector(i), space.basis_vector(j))
-        for i, j in itertools.product(range(space.dim), repeat=2)
-    }
-    return BinaryStructure(space, constants)
-
-
-def derived_super_jordan(binary: BinaryStructure, conv: Convention) -> BinaryStructure:
-    """Structure constants of the graded symmetrization of ``binary``."""
-    algebra = HomSuperalgebra.untwisted(binary)
-    space = binary.space
-    constants = {
-        (i, j): super_jordan(algebra, conv, space.basis_vector(i), space.basis_vector(j))
-        for i, j in itertools.product(range(space.dim), repeat=2)
-    }
-    return BinaryStructure(space, constants)

@@ -12,17 +12,28 @@ from ``*`` at the half normalization, the one under which those statements
 hold with the printed coefficients.  Suites whose statements are untwisted
 bind the twist symbol to the identity map regardless of the structure's own
 twist.
+
+The graded (anti)symmetrization is defined here once, as a term sum the
+engine tabulates; the lemma bindings and the constructions both build it
+with :func:`graded_product`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional
 
-from .core import EvenMap, SuperSpace
-from .dsl import Identity, parse_identity
-from .engine import StructureBinding, check_identities
+from .core import Element, EvenMap, SuperSpace
+from .dsl import STAR, Identity, parse_identity
+from .engine import OpStructure, StructureBinding, check_identities, tabulate
 from .reports import SuiteReport
-from .structures import Convention, derived_super_jordan, derived_supercommutator, structure_parts
+from .structures import (
+    BINARY_MULTIPLICATIVITY,
+    TERNARY_MULTIPLICATIVITY,
+    BinaryStructure,
+    Convention,
+    structure_parts,
+)
 
 TWIST_STRUCTURE = "structure"
 TWIST_IDENTITY = "identity"
@@ -118,9 +129,7 @@ _BOL_IDS = _ids(
     ),
 )
 
-_HOM_BOL_IDS = _ids(
-    ("binary_multiplicativity", "A([x,y]) - [A(x),A(y)] = 0"),
-    ("ternary_multiplicativity", "A({x,y,z}) - {A(x),A(y),A(z)} = 0"),
+_HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + _ids(
     _SKEW_BINARY,
     _SKEW_TERNARY,
     _TERNARY_CYCLIC,
@@ -279,6 +288,25 @@ def suite(name: str) -> SuiteSpec:
     return _SUITES[key]
 
 
+SUPERCOMMUTATOR = parse_identity("(x*y) - (-1)^{x.y} (y*x) = 0", name="supercommutator")
+SUPER_JORDAN = parse_identity("(x*y) + (-1)^{x.y} (y*x) = 0", name="super_jordan")
+
+
+def tabulated(
+    identity: Identity, ops: Mapping[str, OpStructure], twist: Optional[EvenMap] = None
+) -> dict[tuple[int, ...], Element]:
+    """Structure constants of the product defined by ``identity``'s term sum,
+    its symbols bound to ``ops`` and its twist to ``twist`` (default identity)."""
+    space = next(iter(ops.values())).space
+    return tabulate(StructureBinding(space, ops, EvenMap.identity(space) if twist is None else twist), identity)
+
+
+def graded_product(binary: BinaryStructure, conv: Convention, product: Identity) -> BinaryStructure:
+    """``conv.factor`` times the graded (anti)symmetrization ``product`` of ``binary``."""
+    scaled = replace(product, terms=tuple(replace(t, coefficient=t.coefficient * conv.factor) for t in product.terms))
+    return BinaryStructure(binary.space, tabulated(scaled, {STAR: binary}))
+
+
 def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
     """Derive the operation bindings the suite expects from a structure."""
     binary, ternary, twist = structure_parts(structure)
@@ -296,11 +324,11 @@ def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
         elif source == BIND_DERIVED_BRACKET:
             if binary is None:
                 raise ValueError(f"suite {spec.name} derives a bracket from a binary operation; structure has none")
-            ops[symbol] = derived_supercommutator(binary, Convention.HALF)
+            ops[symbol] = graded_product(binary, Convention.HALF, SUPERCOMMUTATOR)
         elif source == BIND_DERIVED_JORDAN:
             if binary is None:
                 raise ValueError(f"suite {spec.name} derives a symmetrized product; structure has none")
-            ops[symbol] = derived_super_jordan(binary, Convention.HALF)
+            ops[symbol] = graded_product(binary, Convention.HALF, SUPER_JORDAN)
         else:  # pragma: no cover - registry is static
             raise AssertionError(source)
     bound_twist = EvenMap.identity(space) if spec.twist_mode == TWIST_IDENTITY else twist

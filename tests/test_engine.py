@@ -3,14 +3,47 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from conftest import oracle_agreement, random_element
-from superbol.catalog import SPACE_1_2
-from superbol.core import Element, EvenMap, SuperSpace
+from superbol.catalog import SPACE_1_2, builtin_example, example_5_1_beta
+from superbol.constructions import (
+    bol_from_right_alternative,
+    hom_jordan_triple,
+    jordan_lts_bracket,
+    lie_triple_from_jordan_triple,
+    minus_algebra,
+    plus_algebra,
+    triple_element,
+)
+from superbol.core import Element, EvenMap, SuperSpace, parity_of
 from superbol.dsl import parse_identity
-from superbol.engine import CompiledBinding, StructureBinding, UnboundSymbolError, check, evaluate_on_elements
-from superbol.structures import BinaryStructure, HomBinaryTernary, HomSuperalgebra, TernaryStructure
+from superbol.engine import (
+    CompiledBinding,
+    StructureBinding,
+    UnboundSymbolError,
+    check,
+    evaluate_on_elements,
+    tabulate,
+)
+from superbol.structures import (
+    BINARY_MULTIPLICATIVITY,
+    TERNARY_MULTIPLICATIVITY,
+    BinaryStructure,
+    Convention,
+    HomBinaryTernary,
+    HomSuperalgebra,
+    HomTripleSystem,
+    TernaryStructure,
+    bin_mul,
+    hom_associator,
+    is_even_self_morphism,
+    is_multiplicative,
+    structure_parts,
+    super_jordan,
+    supercommutator,
+    tern_mul,
+)
 from superbol.suites import binding_for, run_suite, suite
 
 
@@ -195,12 +228,15 @@ def _reference(binding, identity):
 
 # No shrink phase: each shrink step re-walks all four suites through the slow
 # element-level path, and shrinking a failure on a broken kernel ran for minutes.
-@settings(
+_differential = settings(
     max_examples=20,
     deadline=None,
     phases=(Phase.explicit, Phase.reuse, Phase.generate),
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@_differential
 @given(_graded_structures())
 def test_kernel_agrees_with_element_evaluation(structure):
     for name in _DIFFERENTIAL_SUITES:
@@ -213,3 +249,119 @@ def test_kernel_agrees_with_element_evaluation(structure):
                 identity.name,
             )
             assert report.tuples_checked == structure.space.dim ** identity.arity
+
+
+def test_tabulate_keeps_the_nonzero_values_of_a_failing_check(ex51):
+    """tabulate walks the tuples check walks: its first key is check's
+    counterexample and its value there is check's residue."""
+    identity = parse_identity("(x*y) - (-1)^{x.y} (y*x) = 0", name="supercommutativity")
+    binding = star_binding(ex51)
+    table = tabulate(binding, identity)
+    report = check(binding, identity)
+    first = next(iter(table))
+    assert tuple(SPACE_1_2.names[i] for i in first) == report.counterexample == ("j", "k")
+    assert table[first] == report.residue == SPACE_1_2.element({"i": 6})
+    assert list(table) == sorted(table)
+    assert all(not value.is_zero() for value in table.values())
+    assert tabulate(binding, parse_identity("(x*y) - (x*y) = 0")) == {}
+
+
+# -- kernel-built products against their element-level references -------------
+
+# Odd-odd ternary entries and a twist that is not a morphism of the bracket,
+# so every sign and both kinds of morphism failure show on every run.
+_SHIPPED = builtin_example("example_5_1_bol")
+_SHIPPED_TWISTED = HomBinaryTernary(_SHIPPED.binary, _SHIPPED.ternary, example_5_1_beta(2, 3))
+
+
+def _table(space, arity, product):
+    """The nonzero values of an element-level product on all basis tuples."""
+    table = {}
+    for key in itertools.product(range(space.dim), repeat=arity):
+        value = product(*(space.basis_vector(i) for i in key))
+        if not value.is_zero():
+            table[key] = value
+    return table
+
+
+def _sign(x, y):
+    """(-1)^{|x||y|} for homogeneous x and y."""
+    return -1 if parity_of(x) == 1 and parity_of(y) == 1 else 1
+
+
+def _morphism_reference(structure, f, preamble):
+    """A lexicographic walk of the element-level evaluation over the two
+    morphism laws: (passed, counterexample, residue, tuples_checked)."""
+    space = structure.space
+    binary, ternary, _ = structure_parts(structure)
+    ops = {key: value for key, value in (("[]", binary), ("{}", ternary)) if value is not None}
+    binding = StructureBinding(space, ops, f)
+    checked = preamble
+    for law, product in ((BINARY_MULTIPLICATIVITY, binary), (TERNARY_MULTIPLICATIVITY, ternary)):
+        if product is None:
+            continue
+        for indices in itertools.product(range(space.dim), repeat=law.arity):
+            checked += 1
+            assignment = {var: space.basis_vector(i) for var, i in zip(law.variables, indices)}
+            residue = evaluate_on_elements(law, binding, assignment)
+            if not residue.is_zero():
+                return False, tuple(space.names[i] for i in indices), residue, checked
+    return True, None, None, checked
+
+
+@_differential
+@given(_graded_structures())
+@example(_SHIPPED_TWISTED)
+def test_kernel_built_products_match_element_references(structure):
+    space, binary, ternary, twist = structure.space, structure.binary, structure.ternary, structure.twist
+    untwisted = HomSuperalgebra.untwisted(binary)
+    twisted = HomSuperalgebra(binary, twist)
+    for conv in (Convention.UNIT, Convention.HALF):
+        minus = minus_algebra(twisted, conv)
+        plus = plus_algebra(twisted, conv)
+        assert minus.twist == plus.twist == twist
+        jordan = _table(space, 2, lambda x, y: super_jordan(untwisted, conv, x, y))
+        assert minus.binary.constants == _table(space, 2, lambda x, y: supercommutator(untwisted, conv, x, y))
+        assert plus.binary.constants == jordan
+
+        bol = bol_from_right_alternative(untwisted, conv, checked=False)
+        reference_plus = HomSuperalgebra.untwisted(BinaryStructure(space, jordan))
+        assert bol.binary.constants == minus.binary.constants
+        assert bol.ternary.constants == _table(
+            space, 3, lambda x, y, z: hom_associator(reference_plus, y, z, x).scale(_sign(x, y) * _sign(x, z))
+        )
+
+    def lts_bracket(x, y, z):
+        return (bin_mul(binary, x, bin_mul(binary, y, z)) - bin_mul(binary, y, bin_mul(binary, x, z)).scale(_sign(x, y))).scale(2)
+
+    assert jordan_lts_bracket(untwisted, checked=False).constants == _table(space, 3, lts_bracket)
+
+    triple = hom_jordan_triple(twisted, checked=False)
+    assert triple.ternary.constants == _table(space, 3, lambda x, y, z: triple_element(twisted, x, y, z))
+
+    system = HomTripleSystem(ternary, twist)
+    lie = lie_triple_from_jordan_triple(system, checked=False)
+    assert lie.twist == twist
+    assert lie.ternary.constants == _table(
+        space, 3, lambda x, y, z: tern_mul(ternary, x, y, z) - tern_mul(ternary, y, x, z).scale(_sign(x, y))
+    )
+
+
+@_differential
+@given(_graded_structures())
+@example(_SHIPPED_TWISTED)
+def test_morphism_laws_match_element_evaluation(structure):
+    twist = structure.twist
+    identity = EvenMap.identity(structure.space)
+    cases = [
+        (is_multiplicative(structure), structure, twist, 1),
+        (is_even_self_morphism(structure, identity), structure, identity, 1),
+        (is_even_self_morphism(structure.binary, twist), structure.binary, twist, 0),
+        (is_even_self_morphism(structure.ternary, twist), structure.ternary, twist, 0),
+        (is_even_self_morphism(HomSuperalgebra(structure.binary, twist), twist), structure.binary, twist, 1),
+    ]
+    for report, tensors, f, preamble in cases:
+        expected = _morphism_reference(tensors, f, preamble)
+        assert (report.passed, report.counterexample, report.residue, report.tuples_checked) == expected
+    # The identity map is a morphism of every structure.
+    assert cases[1][0].passed

@@ -109,10 +109,16 @@ def test_is_multiplicative_fails_at_jj_for_nonzero_b(ex51):
     assert not report.passed
     assert report.counterexample == ("j", "j")
     assert report.residue == SPACE_1_2.element({"i": -18})
+    # The twist-commutation check, then (i,i) .. (j,j): rank 4 among the pairs.
+    assert report.tuples_checked == 6
+    assert report.detail == "binary images differ at (j, j)"
 
 
 def test_even_self_morphism_pass_cases(ex51_bol, ex31):
-    assert is_even_self_morphism(ex51_bol, example_5_1_beta(2, 0)).passed
+    report = is_even_self_morphism(ex51_bol, example_5_1_beta(2, 0))
+    assert report.passed
+    # The twist-commutation check, 9 pairs and 27 triples.
+    assert report.tuples_checked == 1 + 9 + 27
     assert is_even_self_morphism(ex31, EvenMap.identity(ex31.space)).passed
 
 
@@ -123,6 +129,8 @@ def test_even_self_morphism_bol_fails_for_nonzero_b(ex51_bol):
     assert not report.passed
     assert report.counterexample == ("j", "j")
     assert report.residue == SPACE_1_2.element({"i": -36})
+    assert report.tuples_checked == 6
+    assert report.detail == "binary images differ at (j, j)"
 
 
 def test_even_self_morphism_parity_violation_reported_first(ex51_bol):
@@ -141,6 +149,8 @@ def test_even_self_morphism_swap_fails_as_morphism_when_parity_valid(ex31):
     assert not report.passed
     assert report.counterexample == ("i", "j")
     assert "binary" in report.detail
+    # Evenness, twist commutation, then (i,i) and (i,j).
+    assert report.tuples_checked == 4
 
 
 def test_grading_check(ex51):
