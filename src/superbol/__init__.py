@@ -9,7 +9,6 @@ from .core import (
     SuperSpace,
     apply_map,
     compose,
-    is_even,
     parity_of,
     power,
     rational,
@@ -33,7 +32,7 @@ from .structures import (
     supercommutator,
     tern_mul,
 )
-from .suites import SUITE_NAMES, SuiteSpec, binding_for, check_suite, run_suite, suite
+from .suites import SUITE_NAMES, SuiteSpec, binding_for, run_suite, suite
 from .constructions import (
     BilinearForm,
     ConstructionError,

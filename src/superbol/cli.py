@@ -209,12 +209,10 @@ def cmd_info(args) -> int:
     print(f"dimension: {space.dim} (even {space.dim_even} | odd {space.dim_odd})")
     print("basis: " + ", ".join(f"{n}[{p}]" for n, p in space.basis))
     binary, ternary, twist = structure_parts(structure)
-    if binary is not None:
-        print(f"binary constants: {len(binary.constants)} nonzero")
-        print(f"binary grading: {'ok' if grading_check(binary).passed else 'VIOLATED'}")
-    if ternary is not None:
-        print(f"ternary constants: {len(ternary.constants)} nonzero")
-        print(f"ternary grading: {'ok' if grading_check(ternary).passed else 'VIOLATED'}")
+    for label, tensor in (("binary", binary), ("ternary", ternary)):
+        if tensor is not None:
+            print(f"{label} constants: {len(tensor.constants)} nonzero")
+            print(f"{label} grading: {'ok' if grading_check(tensor).passed else 'VIOLATED'}")
     print(f"twist: {'identity' if twist.is_identity() else 'nontrivial'}")
     print(f"multiplicative: {'yes' if is_multiplicative(structure).passed else 'no'}")
     if document.maps:

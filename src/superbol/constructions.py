@@ -3,7 +3,10 @@
 Every derived product is defined once, as a DSL term sum, and its structure
 constants are tabulated by the engine on all basis tuples
 (:func:`suites.tabulated`); the element-level products in ``structures`` are
-only the tests' references for them.  Every builder verifies its
+only the tests' references for them.  The bilinear-form triple is such a sum
+over the pairing tensor P(x,y,z) = <x|y>z.  Twists and derived structures
+instead compose the stored constants with powers of a self-morphism or of
+the twist, one body for either arity.  Every builder verifies its
 preconditions by running the relevant identity suites before constructing
 (pass ``checked=False`` to skip, mirroring the CLI's ``--unchecked``).  A
 failed precondition raises :class:`ConstructionError` carrying the stage name
@@ -18,19 +21,19 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Element, EvenMap, Scalar, SuperSpace, apply_map, compose, parity_of, power, rational
-from .dsl import ANGLE, STAR, build_identity, parse_identity
+from .dsl import ANGLE, BRACES, STAR, build_identity, parse_identity
 from .reports import CheckReport
 from .structures import (
-    BinaryStructure,
     Convention,
     HomBinaryTernary,
     HomSuperalgebra,
     HomTripleSystem,
+    ProductTensor,
     TernaryStructure,
     is_even_self_morphism,
     is_multiplicative,
 )
-from .suites import SUPER_JORDAN, SUPERCOMMUTATOR, graded_product, run_suite, tabulated
+from .suites import SUPER_JORDAN, SUPERCOMMUTATOR, graded_product, run_suite, scaled, tabulated
 
 _JORDAN_LTS = parse_identity("2 (x*(y*z)) - 2 (-1)^{x.y} (y*(x*z)) = 0", name="jordan_lts_bracket")
 # Keyed (x, y, z) although the term reads its variables as y, z, x.
@@ -41,6 +44,10 @@ _HOM_JORDAN_TRIPLE = parse_identity(
     "((x*y)*A(z)) + (A(x)*(y*z)) - (-1)^{x.y} (A(y)*(x*z)) = 0", name="hom_jordan_triple"
 )
 _LIE_TRIPLE = parse_identity("<x,y,z> - (-1)^{x.y} <y,x,z> = 0", name="lie_triple")
+# {} is bound to the pairing tensor P(x,y,z) = <x|y>z.
+_FORM_TRIPLE = parse_identity(
+    "{x,y,z} + (-1)^{x.y + x.z} {y,z,x} - (-1)^{z.x + z.y} {z,x,y} = 0", name="bilinear_form_triple"
+)
 
 
 class ConstructionError(ValueError):
@@ -71,14 +78,6 @@ def _require_check(report: CheckReport, stage: str) -> None:
 def _require_identity_twist(algebra, stage: str) -> None:
     if not algebra.twist.is_identity():
         raise ConstructionError(stage, "construction requires the identity twist")
-
-
-def _ternary_from(space: SuperSpace, product) -> TernaryStructure:
-    constants = {
-        (i, j, k): product(*(space.basis_vector(n) for n in (i, j, k)))
-        for i, j, k in itertools.product(range(space.dim), repeat=3)
-    }
-    return TernaryStructure(space, constants)
 
 
 def minus_algebra(algebra: HomSuperalgebra, conv: Convention = Convention.UNIT) -> HomSuperalgebra:
@@ -179,42 +178,36 @@ def hom_bol_from_right_hom_alternative(
     )
 
 
-def _twisted_binary(binary: BinaryStructure, outer: EvenMap) -> BinaryStructure:
-    return BinaryStructure(
-        binary.space, {key: apply_map(outer, value) for key, value in binary.constants.items()}
-    )
+def _twisted(tensor: ProductTensor, outer: EvenMap) -> ProductTensor:
+    """The tensor's products composed with ``outer``."""
+    return type(tensor)(tensor.space, {key: apply_map(outer, value) for key, value in tensor.constants.items()})
 
 
-def _twisted_ternary(ternary: TernaryStructure, outer: EvenMap) -> TernaryStructure:
-    return TernaryStructure(
-        ternary.space, {key: apply_map(outer, value) for key, value in ternary.constants.items()}
-    )
+def _twist_power(structure, beta: EvenMap, n: int, checked: bool, stage: str) -> EvenMap:
+    """beta^n, once n is positive and (if ``checked``) beta is an even self-morphism."""
+    if n < 1:
+        raise ValueError("twisting exponent must be positive")
+    if checked:
+        _require_check(is_even_self_morphism(structure, beta), stage)
+    return power(beta, n)
 
 
 def yau_twist_algebra(
     algebra: HomSuperalgebra, beta: EvenMap, n: int = 1, checked: bool = True
 ) -> HomSuperalgebra:
     """Compose the binary product with the n-th power of a self-morphism."""
-    if n < 1:
-        raise ValueError("twisting exponent must be positive")
-    if checked:
-        _require_check(is_even_self_morphism(algebra, beta), "yau_twist_algebra")
-    bn = power(beta, n)
-    return HomSuperalgebra(_twisted_binary(algebra.binary, bn), compose(bn, algebra.twist))
+    bn = _twist_power(algebra, beta, n, checked, "yau_twist_algebra")
+    return HomSuperalgebra(_twisted(algebra.binary, bn), compose(bn, algebra.twist))
 
 
 def yau_twist_bol(
     structure: HomBinaryTernary, beta: EvenMap, n: int = 1, checked: bool = True
 ) -> HomBinaryTernary:
     """Twist a binary-ternary structure: bracket by beta^n, ternary by beta^2n."""
-    if n < 1:
-        raise ValueError("twisting exponent must be positive")
-    if checked:
-        _require_check(is_even_self_morphism(structure, beta), "yau_twist_bol")
-    bn = power(beta, n)
+    bn = _twist_power(structure, beta, n, checked, "yau_twist_bol")
     return HomBinaryTernary(
-        binary=_twisted_binary(structure.binary, bn),
-        ternary=_twisted_ternary(structure.ternary, power(beta, 2 * n)),
+        binary=_twisted(structure.binary, bn),
+        ternary=_twisted(structure.ternary, power(beta, 2 * n)),
         twist=compose(bn, structure.twist),
     )
 
@@ -223,12 +216,8 @@ def yau_twist_triple(
     triple: HomTripleSystem, beta: EvenMap, n: int = 1, checked: bool = True
 ) -> HomTripleSystem:
     """Twist a ternary system: product by beta^n, twist by beta^n compose."""
-    if n < 1:
-        raise ValueError("twisting exponent must be positive")
-    if checked:
-        _require_check(is_even_self_morphism(triple, beta), "yau_twist_triple")
-    bn = power(beta, n)
-    return HomTripleSystem(_twisted_ternary(triple.ternary, bn), compose(bn, triple.twist))
+    bn = _twist_power(triple, beta, n, checked, "yau_twist_triple")
+    return HomTripleSystem(_twisted(triple.ternary, bn), compose(bn, triple.twist))
 
 
 def nth_derived(structure: HomBinaryTernary, n: int) -> HomBinaryTernary:
@@ -237,8 +226,8 @@ def nth_derived(structure: HomBinaryTernary, n: int) -> HomBinaryTernary:
         raise ValueError("derivation index must be nonnegative")
     a = structure.twist
     return HomBinaryTernary(
-        binary=_twisted_binary(structure.binary, power(a, 2**n - 1)),
-        ternary=_twisted_ternary(structure.ternary, power(a, 2 ** (n + 1) - 2)),
+        binary=_twisted(structure.binary, power(a, 2**n - 1)),
+        ternary=_twisted(structure.ternary, power(a, 2 ** (n + 1) - 2)),
         twist=power(a, 2**n),
     )
 
@@ -303,19 +292,10 @@ class BilinearForm:
 
 def bilinear_form_triple(form: BilinearForm, lam: Scalar = 1) -> HomTripleSystem:
     """Untwisted ternary system lam(<x|y>z +-signed cyclic terms) of a form."""
-    lam = rational(lam)
     space = form.space
-
-    def product(x: Element, y: Element, z: Element) -> Element:
-        px, py, pz = parity_of(x), parity_of(y), parity_of(z)
-        sign_x = -1 if (px * (py + pz)) % 2 else 1
-        sign_y = -1 if (pz * (px + py)) % 2 else 1
-        value = (
-            z.scale(form.pairing(x, y))
-            + x.scale(form.pairing(y, z)).scale(sign_x)
-            - y.scale(form.pairing(z, x)).scale(sign_y)
-        )
-        return value.scale(lam)
-
-    ternary = _ternary_from(space, product)
+    pairing = TernaryStructure(space, {
+        (i, j, k): Element(space, {k: form.gram[i][j]})
+        for i, j, k in itertools.product(range(space.dim), repeat=3)
+    })
+    ternary = TernaryStructure(space, tabulated(scaled(_FORM_TRIPLE, rational(lam)), {BRACES: pairing}))
     return HomTripleSystem(ternary, EvenMap.identity(space))

@@ -274,9 +274,6 @@ class EvenMap:
     def is_identity(self) -> bool:
         return self == EvenMap.identity(self.space)
 
-    def __call__(self, element: Element) -> Element:
-        return apply_map(self, element)
-
 
 def apply_map(f: EvenMap, element: Element) -> Element:
     """Linear extension of the matrix action; preserves parity of homogeneous input."""
@@ -312,9 +309,3 @@ def power(f: EvenMap, n: int) -> EvenMap:
         result = compose(f, result)
     return result
 
-
-def is_even(candidate, space: SuperSpace) -> bool:
-    """Evenness check for a raw square matrix or an :class:`EvenMap`."""
-    if isinstance(candidate, EvenMap):
-        return is_even_matrix(candidate.matrix, space)
-    return is_even_matrix(candidate, space)

@@ -17,6 +17,7 @@ product, ``{.,.,.}`` and ``<.,.,.>`` the two ternary symbols.  ``as(a,b,c)``
 abbreviates ``((a*b)*A(c)) - (A(a)*(b*c))``.  In a sign exponent, ``x.y``
 denotes the product of the parities of the values bound to x and y, and
 ``x`` alone denotes the parity of x; exponents are read mod 2.
+``SignPoly.parse`` reads a bare exponent by the same ``signpoly`` rule.
 
 Every identity must be multilinear: each variable of the identity occurs
 exactly once in every term.  Over a field of characteristic 0 this makes
@@ -69,21 +70,11 @@ class SignPoly:
 
     @staticmethod
     def parse(text: str) -> "SignPoly":
-        monos = []
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if chunk == "1":
-                monos.append(frozenset())
-            elif "." in chunk:
-                a, _, b = chunk.partition(".")
-                monos.append(frozenset({a.strip(), b.strip()}))
-            elif chunk:
-                monos.append(frozenset({chunk}))
-            else:
-                raise ValueError(f"empty monomial in sign exponent {text!r}")
-        poly = SignPoly.zero()
-        for mono in monos:
-            poly = poly + SignPoly(frozenset({mono}))
+        """Parse a sign exponent such as ``"x.y + z + 1"`` by the grammar's ``signpoly`` rule."""
+        parser = _Parser(text)
+        poly = parser.parse_signpoly()
+        if parser.peek() is not None:
+            raise parser.error("trailing input after the sign exponent")
         return poly
 
     def __add__(self, other: "SignPoly") -> "SignPoly":
@@ -155,29 +146,11 @@ class Identity:
     def arity(self) -> int:
         return len(self.variables)
 
-    def symbols(self) -> frozenset[str]:
-        """Operation symbols occurring in the identity (twist excluded)."""
-        out: set[str] = set()
-        for term in self.terms:
-            out |= _collect_symbols(term.expr)
-        return frozenset(out)
-
     def max_twist_power(self) -> int:
         deepest = 0
         for term in self.terms:
             deepest = max(deepest, _max_twist(term.expr))
         return deepest
-
-
-def _collect_symbols(expr: Expr) -> set[str]:
-    if isinstance(expr, Var):
-        return set()
-    if isinstance(expr, Twist):
-        return _collect_symbols(expr.arg)
-    out = {STAR} if expr.op == ASSOC else {expr.op}
-    for arg in expr.args:
-        out |= _collect_symbols(arg)
-    return out
 
 
 def _max_twist(expr: Expr) -> int:
@@ -424,24 +397,6 @@ class _Parser:
         return tuple(args)
 
 
-def _ordered_variables(terms: list[tuple[Fraction, SignPoly, Expr]]) -> tuple[str, ...]:
-    seen: list[str] = []
-
-    def visit(expr: Expr) -> None:
-        if isinstance(expr, Var):
-            if expr.name not in seen:
-                seen.append(expr.name)
-        elif isinstance(expr, Twist):
-            visit(expr.arg)
-        else:
-            for arg in expr.args:
-                visit(arg)
-
-    for _, _, expr in terms:
-        visit(expr)
-    return tuple(seen)
-
-
 def build_identity(name: str, variables: tuple[str, ...], terms: tuple[Term, ...], source: str = "") -> Identity:
     """Assemble an identity, enforcing multilinearity across all terms.
 
@@ -470,6 +425,8 @@ def build_identity(name: str, variables: tuple[str, ...], terms: tuple[Term, ...
 
 def parse_identity(text: str, name: str = "") -> Identity:
     """Parse identity text, enforcing multilinearity across all terms."""
-    raw_terms = _Parser(text).parse_identity()
-    terms = tuple(Term(coeff, sign, expr) for coeff, sign, expr in raw_terms)
-    return build_identity(name, _ordered_variables(raw_terms), terms, source=text)
+    terms = tuple(Term(coeff, sign, expr) for coeff, sign, expr in _Parser(text).parse_identity())
+    counts: dict[str, int] = {}
+    for term in terms:
+        variable_counts(term.expr, counts)
+    return build_identity(name, tuple(counts), terms, source=text)

@@ -13,13 +13,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping
 
 from .core import Element, EvenMap, SuperSpace
 from .structures import (
     BinaryStructure,
     Convention,
     HomBinaryTernary,
+    HomStructure,
     HomSuperalgebra,
     HomTripleSystem,
     TernaryStructure,
@@ -31,8 +32,8 @@ KIND_BINARY = "hom_superalgebra"
 KIND_TERNARY = "hom_triple"
 KIND_BOTH = "hom_binary_ternary"
 KINDS = (KIND_BINARY, KIND_TERNARY, KIND_BOTH)
-
-Structure = Union[HomSuperalgebra, HomTripleSystem, HomBinaryTernary]
+# "twist": "id" in a file names the identity map, so no map may be called "id".
+IDENTITY_TWIST = "id"
 
 
 class AlgebraFileError(ValueError):
@@ -44,7 +45,7 @@ class AlgebraDocument:
     """A structure plus the file-level context it travels with."""
 
     name: str
-    structure: Structure
+    structure: HomStructure
     maps: Mapping[str, EvenMap] = field(default_factory=dict)
     convention: Convention = Convention.UNIT
 
@@ -67,7 +68,10 @@ _RATIONAL_SHAPE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 def _rat(text: str, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_SHAPE.match(text.strip()):
         raise AlgebraFileError(f"{where}: cannot parse rational {text!r} (expected 'p' or 'p/q')")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:  # more digits than int() converts
+        raise AlgebraFileError(f"{where}: cannot parse rational {text!r}: {exc}") from None
 
 
 def _index(space: SuperSpace, name: str, where: str) -> int:
@@ -119,9 +123,15 @@ def load(path) -> AlgebraDocument:
     """Read and fully validate an algebra file."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise AlgebraFileError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal with more digits than int() converts
+        raise AlgebraFileError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise AlgebraFileError(f"{path}: top level must be an object")
 
@@ -150,12 +160,14 @@ def load(path) -> AlgebraDocument:
     raw_maps = data.get("maps", {})
     if not isinstance(raw_maps, dict):
         raise AlgebraFileError(f"maps must be an object of named matrices, got {raw_maps!r}")
+    if IDENTITY_TWIST in raw_maps:
+        raise AlgebraFileError(f"map name {IDENTITY_TWIST!r} is reserved for the identity twist")
     maps = {name: _parse_map(space, name, rows) for name, rows in raw_maps.items()}
 
-    twist_ref = data.get("twist", "id")
+    twist_ref = data.get("twist", IDENTITY_TWIST)
     if not isinstance(twist_ref, str):
         raise AlgebraFileError(f"twist must be 'id' or a map name, got {twist_ref!r}")
-    if twist_ref == "id":
+    if twist_ref == IDENTITY_TWIST:
         twist = EvenMap.identity(space)
     elif twist_ref in maps:
         twist = maps[twist_ref]
@@ -178,7 +190,7 @@ def load(path) -> AlgebraDocument:
         _check_grading(ternary, "ternary")
 
     if kind == KIND_BINARY:
-        structure: Structure = HomSuperalgebra(binary, twist)
+        structure: HomStructure = HomSuperalgebra(binary, twist)
     elif kind == KIND_TERNARY:
         structure = HomTripleSystem(ternary, twist)
     else:
@@ -209,10 +221,12 @@ def document_to_dict(document: AlgebraDocument) -> dict:
     space = document.space
     structure = document.structure
     maps = dict(document.maps)
+    if IDENTITY_TWIST in maps:
+        raise AlgebraFileError(f"map name {IDENTITY_TWIST!r} is reserved for the identity twist")
 
     binary, ternary, twist = structure_parts(structure)
     if twist.is_identity():
-        twist_ref = "id"
+        twist_ref = IDENTITY_TWIST
     else:
         twist_ref = next((n for n, m in maps.items() if m == twist), None)
         if twist_ref is None:

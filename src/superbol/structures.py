@@ -1,20 +1,27 @@
 """Structure-constant models of binary and ternary twisted superalgebras.
 
-A structure is a sparse tensor mapping basis tuples to elements; absent
-entries are zero products.  The element-level products here (``bin_mul``,
-``tern_mul``, the twisted associator and the graded (anti)symmetrizations,
-which split their inputs into homogeneous components first) extend the
-tensors multilinearly.  They serve the general-element oracle and the tests'
-references; derived tables are built by the engine from DSL term sums, and
-the self-morphism laws below are identities the engine checks.
+A product is a sparse tensor mapping basis tuples to elements; absent
+entries are zero products.  One base, :class:`ProductTensor`, holds either
+arity; ``BinaryStructure`` and ``TernaryStructure`` fix it at 2 and 3.  A
+``HomStructure`` adds a twist to a binary tensor, a ternary tensor or both
+(the three kinds a file holds); a ``Structure`` is one of those or a bare
+tensor.  The element-level products here (``bin_mul`` and ``tern_mul``, one
+multilinear body; the twisted associator and the graded
+(anti)symmetrizations, which split their inputs into homogeneous components
+first) extend the tensors multilinearly.  They serve the general-element
+oracle and the tests' references; derived tables are built by the engine
+from DSL term sums, and the self-morphism laws below are identities the
+engine checks.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import ClassVar, Mapping, Optional, Union
 
 from .core import (
     Element,
@@ -52,63 +59,44 @@ class Convention(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BinaryStructure:
+class ProductTensor:
+    """Sparse structure constants of an ``arity``-linear product; a subclass fixes ``arity``."""
+
+    arity: ClassVar[int]
+    space: SuperSpace
+    constants: Mapping[tuple[int, ...], Element]
+
+    def __post_init__(self) -> None:
+        cleaned = {}
+        for key, value in self.constants.items():
+            if len(key) != self.arity:
+                raise ValueError(f"key {key} of a {type(self).__name__} needs {self.arity} indices")
+            if value.space != self.space:
+                raise ValueError(f"constant at {key} lives in a different space")
+            if not value.is_zero():
+                cleaned[tuple(map(int, key))] = value
+        object.__setattr__(self, "constants", dict(sorted(cleaned.items())))
+
+    @classmethod
+    def from_table(cls, space: SuperSpace, table: Mapping[tuple[str, ...], Mapping[str, Scalar]]):
+        constants = {tuple(map(space.index, names)): space.element(coords) for names, coords in table.items()}
+        return cls(space, constants)
+
+    @classmethod
+    def zero(cls, space: SuperSpace):
+        return cls(space, {})
+
+
+class BinaryStructure(ProductTensor):
     """Sparse structure constants for a binary product on a superspace."""
 
-    space: SuperSpace
-    constants: Mapping[tuple[int, int], Element]
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for key, value in self.constants.items():
-            i, j = key
-            if value.space != self.space:
-                raise ValueError(f"constant at {key} lives in a different space")
-            if not value.is_zero():
-                cleaned[(int(i), int(j))] = value
-        object.__setattr__(self, "constants", dict(sorted(cleaned.items())))
-
-    @staticmethod
-    def from_table(space: SuperSpace, table: Mapping[tuple[str, str], Mapping[str, Scalar]]) -> "BinaryStructure":
-        constants = {
-            (space.index(a), space.index(b)): space.element(coords)
-            for (a, b), coords in table.items()
-        }
-        return BinaryStructure(space, constants)
-
-    @staticmethod
-    def zero(space: SuperSpace) -> "BinaryStructure":
-        return BinaryStructure(space, {})
+    arity = 2
 
 
-@dataclass(frozen=True)
-class TernaryStructure:
+class TernaryStructure(ProductTensor):
     """Sparse structure constants for a ternary product on a superspace."""
 
-    space: SuperSpace
-    constants: Mapping[tuple[int, int, int], Element]
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for key, value in self.constants.items():
-            i, j, k = key
-            if value.space != self.space:
-                raise ValueError(f"constant at {key} lives in a different space")
-            if not value.is_zero():
-                cleaned[(int(i), int(j), int(k))] = value
-        object.__setattr__(self, "constants", dict(sorted(cleaned.items())))
-
-    @staticmethod
-    def from_table(space: SuperSpace, table: Mapping[tuple[str, str, str], Mapping[str, Scalar]]) -> "TernaryStructure":
-        constants = {
-            (space.index(a), space.index(b), space.index(c)): space.element(coords)
-            for (a, b, c), coords in table.items()
-        }
-        return TernaryStructure(space, constants)
-
-    @staticmethod
-    def zero(space: SuperSpace) -> "TernaryStructure":
-        return TernaryStructure(space, {})
+    arity = 3
 
 
 @dataclass(frozen=True)
@@ -171,7 +159,8 @@ class HomBinaryTernary:
         return self.binary.space
 
 
-Structure = Union[BinaryStructure, TernaryStructure, HomSuperalgebra, HomTripleSystem, HomBinaryTernary]
+HomStructure = Union[HomSuperalgebra, HomTripleSystem, HomBinaryTernary]
+Structure = Union[ProductTensor, HomStructure]
 
 
 def structure_parts(
@@ -192,32 +181,31 @@ def structure_parts(
     raise TypeError(f"not a binary or ternary structure: {type(structure).__name__}")
 
 
+def _multilinear(structure: ProductTensor, operands: tuple[Element, ...]) -> Element:
+    """Multilinear extension of the stored structure constants."""
+    space = structure.space
+    for operand in operands:
+        if operand.space != space:
+            raise ValueError("operands live outside the structure's superspace")
+    out: dict[int, Fraction] = {}
+    for choice in itertools.product(*[operand.coords.items() for operand in operands]):
+        key, coefficients = zip(*choice)
+        entry = structure.constants.get(key)
+        if entry is not None:
+            coefficient = math.prod(coefficients)
+            for target, value in entry.coords.items():
+                out[target] = out.get(target, 0) + coefficient * value
+    return Element(space, out)
+
+
 def bin_mul(structure: BinaryStructure, x: Element, y: Element) -> Element:
     """Bilinear extension of the stored structure constants."""
-    if x.space != structure.space or y.space != structure.space:
-        raise ValueError("operands live outside the structure's superspace")
-    out = structure.space.zero()
-    for i, ci in x.coords.items():
-        for j, cj in y.coords.items():
-            entry = structure.constants.get((i, j))
-            if entry is not None:
-                out = out + entry.scale(ci * cj)
-    return out
+    return _multilinear(structure, (x, y))
 
 
 def tern_mul(structure: TernaryStructure, x: Element, y: Element, z: Element) -> Element:
     """Trilinear extension of the stored structure constants."""
-    for operand in (x, y, z):
-        if operand.space != structure.space:
-            raise ValueError("operands live outside the structure's superspace")
-    out = structure.space.zero()
-    for i, ci in x.coords.items():
-        for j, cj in y.coords.items():
-            for k, ck in z.coords.items():
-                entry = structure.constants.get((i, j, k))
-                if entry is not None:
-                    out = out + entry.scale(ci * cj * ck)
-    return out
+    return _multilinear(structure, (x, y, z))
 
 
 def hom_associator(algebra: HomSuperalgebra, x: Element, y: Element, z: Element) -> Element:
@@ -250,7 +238,7 @@ def supercommutator(algebra: HomSuperalgebra, conv: Convention, x: Element, y: E
     return _signed_symmetrization(algebra, conv, x, y, -1)
 
 
-def grading_check(structure: Union[BinaryStructure, TernaryStructure]) -> CheckReport:
+def grading_check(structure: ProductTensor) -> CheckReport:
     """Verify that every stored constant lands in the parity forced by its inputs."""
     space = structure.space
     checked = 0
@@ -304,7 +292,7 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
         raise ValueError("candidate map lives in a different superspace")
 
     binary, ternary, twist = structure_parts(structure)
-    if not isinstance(structure, (BinaryStructure, TernaryStructure)):
+    if not isinstance(structure, ProductTensor):
         checked += 1
         if compose(f, twist) != compose(twist, f):
             return CheckReport(
@@ -343,6 +331,6 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
     return CheckReport(name=name, passed=True, tuples_checked=checked)
 
 
-def is_multiplicative(structure: Union[HomSuperalgebra, HomTripleSystem, HomBinaryTernary]) -> CheckReport:
+def is_multiplicative(structure: HomStructure) -> CheckReport:
     """Does the structure's own twist commute with all its products on basis tuples?"""
     return is_even_self_morphism(structure, structure.twist, name="multiplicativity")

@@ -21,6 +21,7 @@ with :func:`graded_product`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import Element, EvenMap, SuperSpace
@@ -301,10 +302,14 @@ def tabulated(
     return tabulate(StructureBinding(space, ops, EvenMap.identity(space) if twist is None else twist), identity)
 
 
+def scaled(identity: Identity, factor: Fraction) -> Identity:
+    """``identity`` with every term's coefficient multiplied by ``factor``."""
+    return replace(identity, terms=tuple(replace(t, coefficient=t.coefficient * factor) for t in identity.terms))
+
+
 def graded_product(binary: BinaryStructure, conv: Convention, product: Identity) -> BinaryStructure:
     """``conv.factor`` times the graded (anti)symmetrization ``product`` of ``binary``."""
-    scaled = replace(product, terms=tuple(replace(t, coefficient=t.coefficient * conv.factor) for t in product.terms))
-    return BinaryStructure(binary.space, tabulated(scaled, {STAR: binary}))
+    return BinaryStructure(binary.space, tabulated(scaled(product, conv.factor), {STAR: binary}))
 
 
 def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
@@ -335,12 +340,7 @@ def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
     return StructureBinding(space=space, ops=ops, twist=bound_twist)
 
 
-def check_suite(binding: StructureBinding, spec: SuiteSpec) -> SuiteReport:
-    """Run every identity of the suite against an explicit binding."""
-    return check_identities(binding, spec.identities, spec.name)
-
-
 def run_suite(structure, name: str) -> SuiteReport:
     """Bind a structure per the suite's rules and check every identity."""
     spec = suite(name)
-    return check_suite(binding_for(structure, spec), spec)
+    return check_identities(binding_for(structure, spec), spec.identities, spec.name)

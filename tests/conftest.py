@@ -1,14 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from superbol import (
     BinaryStructure,
     Convention,
     Element,
+    EvenMap,
+    HomBinaryTernary,
     HomSuperalgebra,
     SuperSpace,
+    TernaryStructure,
     builtin_example,
     plus_algebra,
 )
@@ -79,3 +84,34 @@ def oracle_agreement(binding, identities, seed: int, samples: int = 100, label: 
         agree = (not nonzero_seen) if item.passed else nonzero_seen
         results.append((identity.name, agree, item.passed))
     return results
+
+
+_scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def graded_structures(draw):
+    """A random (p|q) space of dim <= 4 with a sparse grading-respecting binary
+    and ternary tensor and a random even twist, scalars of denominator 1..3."""
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    space = SuperSpace.build((f"e{i}", parity) for i, parity in enumerate(parities))
+    dim = space.dim
+
+    def vector(parity):
+        coords = {t: draw(_scalars) for t in range(dim) if space.parity(t) == parity and draw(st.booleans())}
+        return Element(space, coords)
+
+    def tensor(arity, density):
+        return {
+            key: vector(sum(map(space.parity, key)) % 2)
+            for key in itertools.product(range(dim), repeat=arity)
+            if draw(st.integers(0, 99)) < density
+        }
+
+    binary = BinaryStructure(space, tensor(2, draw(st.sampled_from((0, 30, 70)))))
+    ternary = TernaryStructure(space, tensor(3, draw(st.sampled_from((0, 10, 40)))))
+    twist = EvenMap(space, tuple(
+        tuple(draw(_scalars) if space.parity(t) == space.parity(s) and draw(st.booleans()) else 0 for s in range(dim))
+        for t in range(dim)
+    ))
+    return HomBinaryTernary(binary, ternary, twist)

@@ -12,7 +12,7 @@ from superbol.core import (
     SuperSpace,
     apply_map,
     compose,
-    is_even,
+    is_even_matrix,
     parity_of,
     power,
     rational,
@@ -102,11 +102,11 @@ def test_power_additivity(m, n):
 
 
 def test_is_even():
-    assert is_even(example_5_1_beta(5, "1/2"), SPACE_1_2)
+    assert is_even_matrix(example_5_1_beta(5, "1/2").matrix, SPACE_1_2)
     swap_i_to_j = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
-    assert not is_even(swap_i_to_j, SPACE_1_2)
+    assert not is_even_matrix(swap_i_to_j, SPACE_1_2)
     zero = [[0] * 3 for _ in range(3)]
-    assert is_even(zero, SPACE_1_2)
+    assert is_even_matrix(zero, SPACE_1_2)
 
 
 def test_even_map_constructor_rejects_cross_parity():

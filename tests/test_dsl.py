@@ -1,9 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from superbol.catalog import SPACE_1_2
+from superbol.core import EvenMap
 from superbol.dsl import (
     ANGLE,
     BRACES,
@@ -18,6 +21,7 @@ from superbol.dsl import (
     Var,
     parse_identity,
 )
+from superbol.engine import StructureBinding, UnboundSymbolError, check
 
 
 def test_parse_right_superalternativity():
@@ -36,7 +40,7 @@ def test_parse_bracket_skew():
     identity = parse_identity("[x,y] + (-1)^{x.y} [y,x] = 0")
     assert identity.variables == ("x", "y")
     assert len(identity.terms) == 2
-    assert identity.symbols() == frozenset({BRACKET})
+    assert {term.expr.op for term in identity.terms} == {BRACKET}
 
 
 def test_multilinearity_error_missing_variable():
@@ -89,14 +93,15 @@ def test_leading_sign_on_first_term():
 def test_twist_powers_and_macros():
     identity = parse_identity("A^3([x,y]) - o(A(x), A^2(y)) = 0")
     assert identity.max_twist_power() == 3
-    assert identity.symbols() == frozenset({BRACKET, JORDAN})
     twist = identity.terms[0].expr
     assert isinstance(twist, Twist) and twist.power == 3
+    assert twist.arg.op == BRACKET and identity.terms[1].expr.op == JORDAN
 
 
 def test_assoc_macro_implies_star_and_twist():
     identity = parse_identity("as(x,y,z) - as(x,y,z) = 0")
-    assert identity.symbols() == frozenset({STAR})
+    with pytest.raises(UnboundSymbolError, match=re.escape(repr(STAR))):
+        check(StructureBinding(SPACE_1_2, {}, EvenMap.identity(SPACE_1_2)), identity)
     assert identity.max_twist_power() == 1
 
 
@@ -143,6 +148,12 @@ def test_signpoly_against_direct_exponent_six_vars():
         env = dict(zip("uvwxyz", bits))
         assert poly.evaluate(env) == direct
         assert poly.sign(env) == (-1) ** direct
+
+
+@pytest.mark.parametrize("text", ["x y", "2", "A", "x.y.z"])
+def test_signpoly_parse_rejects_what_the_identity_grammar_rejects(text):
+    with pytest.raises(IdentitySyntaxError):
+        SignPoly.parse(text)
 
 
 _vars = st.sampled_from(["x", "y", "z", "t", "u", "w"])

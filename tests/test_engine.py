@@ -1,11 +1,10 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings
 
-from conftest import oracle_agreement, random_element
+from conftest import graded_structures, oracle_agreement, random_element
 from superbol.catalog import SPACE_1_2, builtin_example, example_5_1_beta
 from superbol.constructions import (
     bol_from_right_alternative,
@@ -16,7 +15,7 @@ from superbol.constructions import (
     plus_algebra,
     triple_element,
 )
-from superbol.core import Element, EvenMap, SuperSpace, parity_of
+from superbol.core import EvenMap, parity_of
 from superbol.dsl import parse_identity
 from superbol.engine import (
     CompiledBinding,
@@ -34,7 +33,6 @@ from superbol.structures import (
     HomBinaryTernary,
     HomSuperalgebra,
     HomTripleSystem,
-    TernaryStructure,
     bin_mul,
     hom_associator,
     is_even_self_morphism,
@@ -183,37 +181,6 @@ def test_compiled_binding_is_shared_by_a_suite(ex51):
 
 _DIFFERENTIAL_SUITES = ("HOM_BOL", "RIGHT_HOM_ALT", "HOM_JORDAN", "EQ_7_10")
 
-_scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-
-
-@st.composite
-def _graded_structures(draw):
-    """A random (p|q) space of dim <= 4 with a sparse grading-respecting binary
-    and ternary tensor and a random even twist, scalars of denominator 1..3."""
-    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
-    space = SuperSpace.build((f"e{i}", parity) for i, parity in enumerate(parities))
-    dim = space.dim
-
-    def vector(parity):
-        coords = {t: draw(_scalars) for t in range(dim) if space.parity(t) == parity and draw(st.booleans())}
-        return Element(space, coords)
-
-    def tensor(arity, density):
-        return {
-            key: vector(sum(map(space.parity, key)) % 2)
-            for key in itertools.product(range(dim), repeat=arity)
-            if draw(st.integers(0, 99)) < density
-        }
-
-    binary = BinaryStructure(space, tensor(2, draw(st.sampled_from((0, 30, 70)))))
-    ternary = TernaryStructure(space, tensor(3, draw(st.sampled_from((0, 10, 40)))))
-    twist = EvenMap(space, tuple(
-        tuple(draw(_scalars) if space.parity(t) == space.parity(s) and draw(st.booleans()) else 0 for s in range(dim))
-        for t in range(dim)
-    ))
-    return HomBinaryTernary(binary, ternary, twist)
-
-
 def _reference(binding, identity):
     """Lexicographic walk calling the element-level evaluation on basis vectors:
     (passed, counterexample, residue)."""
@@ -237,7 +204,7 @@ _differential = settings(
 
 
 @_differential
-@given(_graded_structures())
+@given(graded_structures())
 def test_kernel_agrees_with_element_evaluation(structure):
     for name in _DIFFERENTIAL_SUITES:
         spec = suite(name)
@@ -310,7 +277,7 @@ def _morphism_reference(structure, f, preamble):
 
 
 @_differential
-@given(_graded_structures())
+@given(graded_structures())
 @example(_SHIPPED_TWISTED)
 def test_kernel_built_products_match_element_references(structure):
     space, binary, ternary, twist = structure.space, structure.binary, structure.ternary, structure.twist
@@ -348,7 +315,7 @@ def test_kernel_built_products_match_element_references(structure):
 
 
 @_differential
-@given(_graded_structures())
+@given(graded_structures())
 @example(_SHIPPED_TWISTED)
 def test_morphism_laws_match_element_evaluation(structure):
     twist = structure.twist

@@ -1,12 +1,15 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superbol.catalog import SPACE_1_2, example_document
+from conftest import graded_structures
+from superbol.catalog import SPACE_1_2, example_5_1_beta, example_document
 from superbol.core import Element
-from superbol.storage import AlgebraDocument, AlgebraFileError, load, save
-from superbol.structures import BinaryStructure, HomSuperalgebra
+from superbol.storage import AlgebraDocument, AlgebraFileError, document_to_dict, load, save
+from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, HomTripleSystem
 
 
 ALL_EXAMPLES = [
@@ -161,3 +164,121 @@ def test_unnamed_twist_map_is_materialized(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["twist"] == "twist" and "twist" in raw["maps"]
     assert load(path).structure == structure
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(dict(BASE, name="t")).encode().replace(b'"t"', b'"\xe9"'))
+    with pytest.raises(AlgebraFileError, match="UTF-8"):
+        load(path)
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(AlgebraFileError, match="nested"):
+        load(path)
+
+
+def test_coefficient_beyond_the_int_digit_limit_is_an_input_error(tmp_path):
+    payload = dict(BASE, binary=[["i", "j", "k", "7" * 5000]])
+    with pytest.raises(AlgebraFileError, match=r"binary\[0\].*rational"):
+        load(_write(tmp_path, payload))
+
+
+def test_integer_literal_beyond_the_int_digit_limit_is_an_input_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(BASE).replace('"parity": 0', '"parity": ' + "7" * 5000))
+    with pytest.raises(AlgebraFileError):
+        load(path)
+
+
+def test_map_named_id_is_rejected_at_load(tmp_path):
+    payload = dict(BASE, maps={"id": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+    with pytest.raises(AlgebraFileError, match="reserved"):
+        load(_write(tmp_path, payload))
+
+
+def test_map_named_id_is_rejected_at_save(tmp_path):
+    beta = example_5_1_beta(2, 0)
+    structure = HomSuperalgebra(example_document("example_5_1").structure.binary, beta)
+    path = tmp_path / "id.json"
+    with pytest.raises(AlgebraFileError, match="reserved"):
+        save(AlgebraDocument(name="t", structure=structure, maps={"id": beta}), path)
+    assert not path.exists()
+
+
+_KINDS = (
+    lambda s: HomSuperalgebra(s.binary, s.twist),
+    lambda s: HomTripleSystem(s.ternary, s.twist),
+    lambda s: s,
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graded_structures(), st.sampled_from(_KINDS), st.sampled_from(Convention), st.booleans())
+def test_save_load_save_is_byte_identical(tmp_path, structure, kind, convention, named):
+    structure = kind(structure)
+    maps = {"beta": structure.twist} if named else {}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save(AlgebraDocument(name="random", structure=structure, maps=maps, convention=convention), first)
+    loaded = load(first)
+    save(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.structure == structure
+    assert loaded.convention == convention
+    if not named and not structure.twist.is_identity():
+        maps = {"twist": structure.twist}
+    assert loaded.maps == maps
+
+
+_SEEDS = tuple(
+    document_to_dict(example_document(name))
+    for name in ("example_5_1_hombol(2,3)", "jordan_form_triple(1)", "example_5_1")
+)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.sampled_from(["i", "j", "k", "e", "f1", "0", "1", "-1/2", "1/0", "2.5", "id", "twist", "beta", "half"])
+)
+_JSON = st.recursive(
+    _LEAVES, lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A shipped document with one to three nodes replaced or deleted."""
+    data = copy.deepcopy(draw(st.sampled_from(_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if not path:
+            data = draw(_JSON)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON)
+        else:
+            del parent[path[-1]]
+    return json.dumps(data).encode()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_documents() | st.binary(max_size=64))
+def test_fuzzed_load_returns_a_document_or_an_input_error(tmp_path, raw):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(raw)
+    try:
+        document = load(path)
+    except AlgebraFileError:
+        return
+    assert isinstance(document, AlgebraDocument)

@@ -7,6 +7,7 @@ from superbol.core import EvenMap, parity_of
 from superbol.structures import (
     BinaryStructure,
     Convention,
+    TernaryStructure,
     HomSuperalgebra,
     bin_mul,
     grading_check,
@@ -42,6 +43,14 @@ def test_tern_mul_table_values(ex31):
 def test_space_mismatch_raises(ex51, ex31):
     with pytest.raises(ValueError):
         bin_mul(ex51.binary, ex31.space.basis_vector("i"), ex31.space.basis_vector("j"))
+
+
+@pytest.mark.parametrize("kind,key", [(BinaryStructure, (0, 0, 0)), (TernaryStructure, (0, 0)), (BinaryStructure, (0,))])
+def test_key_of_the_wrong_length_raises(kind, key):
+    with pytest.raises(ValueError):
+        kind(SPACE_1_2, {key: b("i")})
+    with pytest.raises(ValueError):
+        kind.from_table(SPACE_1_2, {tuple("i" for _ in key): {"i": 1}})
 
 
 def test_hom_associator_values(ex51):
