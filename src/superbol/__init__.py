@@ -14,7 +14,7 @@ from .core import (
     rational,
 )
 from .dsl import Identity, IdentitySyntaxError, MultilinearityError, SignPoly, build_identity, parse_identity
-from .engine import CompiledBinding, StructureBinding, UnboundSymbolError, check, evaluate_on_elements
+from .engine import StructureBinding, UnboundSymbolError, check, evaluate_on_elements
 from .reports import CheckReport, SuiteReport
 from .structures import (
     BinaryStructure,

@@ -79,8 +79,6 @@ def _load(path: str) -> AlgebraDocument:
         return load(path)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
-    except AlgebraFileError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _write_derived(source: AlgebraDocument, name: str, structure, path: str) -> int:
@@ -281,7 +279,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, AlgebraFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

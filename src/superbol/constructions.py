@@ -30,6 +30,7 @@ from .structures import (
     HomTripleSystem,
     ProductTensor,
     TernaryStructure,
+    bin_mul,
     is_even_self_morphism,
     is_multiplicative,
 )
@@ -119,12 +120,12 @@ def bol_from_right_alternative(
 
 def triple_element(jordan: HomSuperalgebra, x: Element, y: Element, z: Element) -> Element:
     """(xy)a(z) + a(x)(yz) - (-1)^{|x||y|} a(y)(xz) in a twisted Jordan product."""
-    a = jordan.twist
+    a, star = jordan.twist, jordan.binary
     sign = -1 if parity_of(x) == 1 and parity_of(y) == 1 else 1
     return (
-        jordan.mul(jordan.mul(x, y), apply_map(a, z))
-        + jordan.mul(apply_map(a, x), jordan.mul(y, z))
-        - jordan.mul(apply_map(a, y), jordan.mul(x, z)).scale(sign)
+        bin_mul(star, bin_mul(star, x, y), apply_map(a, z))
+        + bin_mul(star, apply_map(a, x), bin_mul(star, y, z))
+        - bin_mul(star, apply_map(a, y), bin_mul(star, x, z)).scale(sign)
     )
 
 

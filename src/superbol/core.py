@@ -301,11 +301,20 @@ def compose(f: EvenMap, g: EvenMap) -> EvenMap:
 
 
 def power(f: EvenMap, n: int) -> EvenMap:
-    """n-fold composition; ``power(f, 0)`` is the identity."""
+    """n-fold composition; ``power(f, 0)`` is the identity.
+
+    Computed by repeated squaring, so the cost grows with the bit length of n;
+    powers of one map commute and the arithmetic is exact, so the result is
+    the n-fold composition itself.
+    """
     if n < 0:
         raise ValueError("power expects a nonnegative exponent")
     result = EvenMap.identity(f.space)
-    for _ in range(n):
-        result = compose(f, result)
+    while n:
+        if n & 1:
+            result = compose(f, result)
+        n >>= 1
+        if n:
+            f = compose(f, f)
     return result
 

@@ -6,10 +6,10 @@ order, so the first counterexample of a failing identity is reproducible.
 Every tuple is evaluated (no short-circuit), so the reported tuple count is
 the full enumeration whatever the verdict.
 
-:func:`check` runs a kernel compiled once per binding
-(:class:`CompiledBinding`): exact sparse tensors, Koszul signs tabulated per
-parity pattern, and memoized value tables for every proper sub-term, so each
-tuple only combines the top node of each term.  :func:`tabulate` walks the
+:func:`check` runs a kernel that each :class:`StructureBinding` compiles for
+itself on first use and keeps: exact sparse tensors, Koszul signs tabulated
+per parity pattern, and memoized value tables for every proper sub-term, so
+each tuple only combines the top node of each term.  :func:`tabulate` walks the
 same tuples and returns the nonzero values instead of a verdict; every
 derived product of the toolkit (supercommutator, Jordan product, the Bol and
 triple ternaries) is a term sum built this way.
@@ -24,14 +24,14 @@ claim in the tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import Element, EvenMap, SuperSpace, apply_map, power
 from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, Twist, Var, variable_counts
-from .reports import CheckReport, SuiteReport
+from .reports import CheckReport
 from .structures import BinaryStructure, TernaryStructure, bin_mul, tern_mul
 
 OpStructure = Union[BinaryStructure, TernaryStructure]
@@ -49,11 +49,24 @@ class StructureBinding:
     ``ops`` maps a symbol ("*", "[]", "o", "{}", "<>") to a binary or ternary
     structure-constant model; ``twist`` interprets the twist symbol A.  All
     bound structures must share one superspace.
+
+    The binding also holds the kernel behind :func:`check`, compiled when a
+    check first needs it: each bound structure as a plain
+    ``{(i, j[, k]): {target: scalar}}`` dict, each non-identity twist power as
+    a list of sparse columns, and one node per sub-term, whose value table is
+    filled on demand and shared by every sub-term equal to it up to renaming,
+    across all identities checked on this binding.  A new binding starts with
+    empty tables, so it never sees values of an old one.
     """
 
     space: SuperSpace
     ops: Mapping[str, OpStructure]
     twist: EvenMap
+    _tensors: dict[str, dict] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _columns: dict[int, Optional[list[dict[int, Scalar]]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _nodes: dict[Expr, _Node] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for symbol, structure in self.ops.items():
@@ -71,6 +84,50 @@ class StructureBinding:
             return self.ops[symbol]
         except KeyError:
             raise UnboundSymbolError(f"no structure bound to operation symbol {symbol!r}") from None
+
+    def _tensor(self, symbol: str) -> dict:
+        if symbol not in self._tensors:
+            constants = self.op(symbol).constants
+            self._tensors[symbol] = {
+                key: {target: _exact(c) for target, c in value.coords.items()}
+                for key, value in constants.items()
+            }
+        return self._tensors[symbol]
+
+    def _twist_columns(self, n: int) -> Optional[list[dict[int, Scalar]]]:
+        """Sparse columns of the n-th twist power; None for the identity map."""
+        if n not in self._columns:
+            matrix = power(self.twist, n)
+            self._columns[n] = None if matrix.is_identity() else [
+                {target: _exact(row[source]) for target, row in enumerate(matrix.matrix) if row[source]}
+                for source in range(self.space.dim)
+            ]
+        return self._columns[n]
+
+    def node(self, expr: Expr) -> tuple[_Node, tuple[str, ...]]:
+        """The compiled node of ``expr`` and the variables of its key, in order."""
+        order: dict[str, str] = {}
+        canonical = _canonical(expr, order)
+        if canonical not in self._nodes:
+            self._nodes[canonical] = self._build(canonical)
+        return self._nodes[canonical], tuple(order)
+
+    def _build(self, expr: Expr) -> _Node:
+        if isinstance(expr, Var):
+            return _Leaf(self.space.dim)
+        if isinstance(expr, Twist):
+            columns = self._twist_columns(expr.power)
+            arg = self.node(expr.arg)[0]
+            return arg if columns is None else _Twisted(columns, arg)
+        if expr.op == ASSOC:
+            a, b, c = expr.args
+            return _Difference(
+                self.node(Call(STAR, (Call(STAR, (a, b)), Twist(1, c))))[0],
+                self.node(Call(STAR, (Twist(1, a), Call(STAR, (b, c)))))[0],
+            )
+        args = [self.node(arg)[0] for arg in expr.args]
+        kind = _Ternary if expr.op in (BRACES, ANGLE) else _Binary
+        return kind(self._tensor(expr.op), args, _child_keys(expr.args))
 
 
 def _twist_powers(binding: StructureBinding, identity: Identity) -> dict[int, EvenMap]:
@@ -108,8 +165,9 @@ def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapp
 # -- the compiled kernel behind check -------------------------------------------
 #
 # Vectors are plain {basis index: scalar} dicts without zero entries; scalars
-# are ints where exact and Fractions otherwise.  None of this code is shared
-# with the element-level evaluation above, which stays the independent oracle.
+# are ints where exact and Fractions otherwise.  None of this code, nor the
+# binding methods that build it, is shared with the element-level evaluation
+# above, which stays the independent oracle.
 
 
 def _exact(value: Fraction) -> Scalar:
@@ -272,77 +330,13 @@ def _child_keys(args: Sequence[Expr]) -> list[itemgetter]:
     return keys
 
 
-class CompiledBinding:
-    """A binding compiled once for exact checks of any number of identities.
-
-    Each bound structure becomes a plain ``{(i, j[, k]): {target: scalar}}``
-    dict and each non-identity twist power a list of sparse columns.  Every
-    sub-term of a checked identity becomes a node whose value table is filled
-    on demand and shared by every sub-term equal to it up to renaming, across
-    all identities checked through this object.  Tables belong to the object,
-    so a new binding never sees values of an old one.
-    """
-
-    def __init__(self, binding: StructureBinding) -> None:
-        self.binding = binding
-        self.space = binding.space
-        self._tensors: dict[str, dict] = {}
-        self._columns: dict[int, Optional[list[dict[int, Scalar]]]] = {}
-        self._nodes: dict[Expr, _Node] = {}
-        self._leaf = _Leaf(self.space.dim)
-
-    def _tensor(self, symbol: str) -> dict:
-        if symbol not in self._tensors:
-            constants = self.binding.op(symbol).constants
-            self._tensors[symbol] = {
-                key: {target: _exact(c) for target, c in value.coords.items()}
-                for key, value in constants.items()
-            }
-        return self._tensors[symbol]
-
-    def _twist_columns(self, n: int) -> Optional[list[dict[int, Scalar]]]:
-        """Sparse columns of the n-th twist power; None for the identity map."""
-        if n not in self._columns:
-            matrix = power(self.binding.twist, n)
-            self._columns[n] = None if matrix.is_identity() else [
-                {target: _exact(row[source]) for target, row in enumerate(matrix.matrix) if row[source]}
-                for source in range(self.space.dim)
-            ]
-        return self._columns[n]
-
-    def node(self, expr: Expr) -> tuple[_Node, tuple[str, ...]]:
-        """The compiled node of ``expr`` and the variables of its key, in order."""
-        order: dict[str, str] = {}
-        canonical = _canonical(expr, order)
-        if canonical not in self._nodes:
-            self._nodes[canonical] = self._build(canonical)
-        return self._nodes[canonical], tuple(order)
-
-    def _build(self, expr: Expr) -> _Node:
-        if isinstance(expr, Var):
-            return self._leaf
-        if isinstance(expr, Twist):
-            columns = self._twist_columns(expr.power)
-            arg = self.node(expr.arg)[0]
-            return arg if columns is None else _Twisted(columns, arg)
-        if expr.op == ASSOC:
-            a, b, c = expr.args
-            return _Difference(
-                self.node(Call(STAR, (Call(STAR, (a, b)), Twist(1, c))))[0],
-                self.node(Call(STAR, (Twist(1, a), Call(STAR, (b, c)))))[0],
-            )
-        args = [self.node(arg)[0] for arg in expr.args]
-        kind = _Ternary if expr.op in (BRACES, ANGLE) else _Binary
-        return kind(self._tensor(expr.op), args, _child_keys(expr.args))
-
-
-def _walk(compiled: CompiledBinding, identity: Identity):
+def _walk(binding: StructureBinding, identity: Identity):
     """Yield ``(indices, residue)`` at every basis tuple in lexicographic order;
     the residue dict may hold zero entries."""
-    space, variables = compiled.space, identity.variables
+    space, variables = binding.space, identity.variables
     terms = []
     for term in identity.terms:
-        node, order = compiled.node(term.expr)
+        node, order = binding.node(term.expr)
         factors = {
             parities: _exact(term.coefficient * term.sign.sign(dict(zip(variables, parities))))
             for parities in itertools.product((0, 1), repeat=identity.arity)
@@ -359,24 +353,18 @@ def _walk(compiled: CompiledBinding, identity: Identity):
         yield indices, residue
 
 
-def _compiled(binding: Union[StructureBinding, CompiledBinding]) -> CompiledBinding:
-    return binding if isinstance(binding, CompiledBinding) else CompiledBinding(binding)
-
-
-def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity) -> CheckReport:
+def check(binding: StructureBinding, identity: Identity) -> CheckReport:
     """Evaluate every term on every homogeneous basis tuple; exact verdict.
 
     The residue at each tuple is the signed, coefficient-weighted sum of the
     identity's terms; the identity passes iff the residue is the zero element
     at all tuples.  The counterexample reported for a failing identity is the
-    lexicographically first failing tuple in basis order.  A plain binding is
-    compiled for this one check; pass a :class:`CompiledBinding` to share its
-    tensors and sub-term tables between checks.
+    lexicographically first failing tuple in basis order.  Checks on one
+    binding share its compiled tensors and sub-term tables.
     """
-    compiled = _compiled(binding)
-    space = compiled.space
+    space = binding.space
     failure = None
-    for indices, residue in _walk(compiled, identity):
+    for indices, residue in _walk(binding, identity):
         if failure is None and any(residue.values()):
             failure = (indices, residue)
 
@@ -393,21 +381,15 @@ def check(binding: Union[StructureBinding, CompiledBinding], identity: Identity)
     )
 
 
-def tabulate(binding: Union[StructureBinding, CompiledBinding], identity: Identity) -> dict[tuple[int, ...], Element]:
+def tabulate(binding: StructureBinding, identity: Identity) -> dict[tuple[int, ...], Element]:
     """The nonzero values of the identity's term sum, keyed by basis-index
     tuple in the order of ``identity.variables``: the structure constants of
     the product the term sum defines."""
-    compiled = _compiled(binding)
     return {
-        indices: Element(compiled.space, residue)
-        for indices, residue in _walk(compiled, identity)
+        indices: Element(binding.space, residue)
+        for indices, residue in _walk(binding, identity)
         if any(residue.values())
     }
-
-
-def check_identities(binding: StructureBinding, identities: Sequence[Identity], suite_name: str) -> SuiteReport:
-    compiled = CompiledBinding(binding)
-    return SuiteReport(suite=suite_name, reports=tuple(check(compiled, i) for i in identities))
 
 
 def evaluate_on_elements(

@@ -37,7 +37,7 @@ IDENTITY_TWIST = "id"
 
 
 class AlgebraFileError(ValueError):
-    """Malformed or inconsistent algebra file."""
+    """Malformed or inconsistent algebra file, or a structure no file can hold."""
 
 
 @dataclass(frozen=True)
@@ -202,19 +202,26 @@ def load(path) -> AlgebraDocument:
     return AlgebraDocument(name=name, structure=structure, maps=maps, convention=convention)
 
 
-def _product_rows(space: SuperSpace, constants):
+def _text(value: Fraction, where: str) -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # more digits than str() converts
+        raise AlgebraFileError(f"{where}: cannot write rational: {exc}") from None
+
+
+def _product_rows(space: SuperSpace, constants, label: str):
     rows = []
     for key in sorted(constants):
         element = constants[key]
         for target, coeff in element.coords.items():
-            rows.append(
-                [space.names[i] for i in key] + [space.names[target], str(coeff)]
-            )
+            names = [space.names[i] for i in key] + [space.names[target]]
+            where = f"{label} entry ({', '.join(names[:-1])}) -> {names[-1]}"
+            rows.append(names + [_text(coeff, where)])
     return rows
 
 
-def _map_rows(even_map: EvenMap):
-    return [[str(v) for v in row] for row in even_map.matrix]
+def _map_rows(name: str, even_map: EvenMap):
+    return [[_text(v, f"map {name!r} row {r}") for v in row] for r, row in enumerate(even_map.matrix)]
 
 
 def document_to_dict(document: AlgebraDocument) -> dict:
@@ -240,13 +247,13 @@ def document_to_dict(document: AlgebraDocument) -> dict:
         "basis": [{"name": n, "parity": p} for n, p in space.basis],
         "binary": [],
         "ternary": [],
-        "maps": {name: _map_rows(maps[name]) for name in sorted(maps)},
+        "maps": {name: _map_rows(name, maps[name]) for name in sorted(maps)},
         "twist": twist_ref,
     }
     if binary is not None:
-        data["binary"] = _product_rows(space, binary.constants)
+        data["binary"] = _product_rows(space, binary.constants, "binary")
     if ternary is not None:
-        data["ternary"] = _product_rows(space, ternary.constants)
+        data["ternary"] = _product_rows(space, ternary.constants, "ternary")
     return data
 
 

@@ -114,9 +114,6 @@ class HomSuperalgebra:
     def space(self) -> SuperSpace:
         return self.binary.space
 
-    def mul(self, x: Element, y: Element) -> Element:
-        return bin_mul(self.binary, x, y)
-
     @staticmethod
     def untwisted(binary: BinaryStructure) -> "HomSuperalgebra":
         return HomSuperalgebra(binary, EvenMap.identity(binary.space))
@@ -210,21 +207,19 @@ def tern_mul(structure: TernaryStructure, x: Element, y: Element, z: Element) ->
 
 def hom_associator(algebra: HomSuperalgebra, x: Element, y: Element, z: Element) -> Element:
     """(x*y)*a(z) - a(x)*(y*z); the ordinary associator when the twist is the identity."""
-    a = algebra.twist
-    return algebra.mul(algebra.mul(x, y), apply_map(a, z)) - algebra.mul(
-        apply_map(a, x), algebra.mul(y, z)
-    )
+    a, star = algebra.twist, algebra.binary
+    return bin_mul(star, bin_mul(star, x, y), apply_map(a, z)) - bin_mul(star, apply_map(a, x), bin_mul(star, y, z))
 
 
 def _signed_symmetrization(
     algebra: HomSuperalgebra, conv: Convention, x: Element, y: Element, flip: int
 ) -> Element:
     """factor * (x*y + flip*(-1)^{|x||y|} y*x), extended over homogeneous parts."""
-    out = algebra.space.zero()
+    star, out = algebra.binary, algebra.space.zero()
     for px, xh in x.homogeneous_parts():
         for py, yh in y.homogeneous_parts():
             sign = Fraction(flip) * (-1 if (px * py) % 2 else 1)
-            out = out + (algebra.mul(xh, yh) + algebra.mul(yh, xh).scale(sign)).scale(conv.factor)
+            out = out + (bin_mul(star, xh, yh) + bin_mul(star, yh, xh).scale(sign)).scale(conv.factor)
     return out
 
 
@@ -303,7 +298,7 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
             )
 
     # The engine imports this module, so a top-level import would be circular.
-    from .engine import CompiledBinding, StructureBinding, check
+    from .engine import StructureBinding, check
 
     ops, laws = {}, []
     if binary is not None:
@@ -312,9 +307,9 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
     if ternary is not None:
         ops[BRACES] = ternary
         laws.append((TERNARY_MULTIPLICATIVITY, "ternary"))
-    compiled = CompiledBinding(StructureBinding(space, ops, f))
+    binding = StructureBinding(space, ops, f)
     for law, label in laws:
-        report = check(compiled, law)
+        report = check(binding, law)
         if not report.passed:
             rank = 0
             for basis_name in report.counterexample:

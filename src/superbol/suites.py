@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 from .core import Element, EvenMap, SuperSpace
 from .dsl import STAR, Identity, parse_identity
-from .engine import OpStructure, StructureBinding, check_identities, tabulate
+from .engine import OpStructure, StructureBinding, check, tabulate
 from .reports import SuiteReport
 from .structures import (
     BINARY_MULTIPLICATIVITY,
@@ -343,4 +343,5 @@ def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
 def run_suite(structure, name: str) -> SuiteReport:
     """Bind a structure per the suite's rules and check every identity."""
     spec = suite(name)
-    return check_identities(binding_for(structure, spec), spec.identities, spec.name)
+    binding = binding_for(structure, spec)
+    return SuiteReport(suite=spec.name, reports=tuple(check(binding, identity) for identity in spec.identities))

@@ -130,6 +130,17 @@ def test_derive_flow(tmp_path, capsys):
     assert code == 0 and "7/7 checks passed" in out
 
 
+def test_twist_past_the_int_digit_limit_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "hombol.json"
+    code, _, _ = run(capsys, "examples", "--emit", "example_5_1_hombol(2,0)", "-o", str(src))
+    assert code == 0
+    out_path = tmp_path / "twisted.json"
+    code, out, err = run(capsys, "twist", str(src), "--map", "beta", "-n", "8000", "-o", str(out_path))
+    assert code == 2
+    assert err.startswith("error: ") and "cannot write rational" in err and "Traceback" not in err
+    assert out == "" and not out_path.exists()
+
+
 def test_lemmas_flow(ex51_file, tmp_path, capsys):
     plus = tmp_path / "plus.json"
     code, _, _ = run(capsys, "construct", "plus", str(ex51_file), "-o", str(plus))

@@ -31,6 +31,7 @@ from superbol.core import EvenMap, SuperSpace, apply_map, power
 from superbol.structures import (
     BinaryStructure,
     Convention,
+    HomBinaryTernary,
     HomSuperalgebra,
     bin_mul,
     hom_associator,
@@ -200,7 +201,7 @@ def test_hom_bol_pipeline_stage_error(ex51):
 def test_yau_twist_algebra_values(ex51):
     beta = example_5_1_beta(2, 0)
     twisted = yau_twist_algebra(ex51, beta, 1)
-    assert twisted.mul(b("j"), b("k")) == SPACE_1_2.element({"i": 4})
+    assert bin_mul(twisted.binary, b("j"), b("k")) == SPACE_1_2.element({"i": 4})
     assert twisted.twist == beta
     assert run_suite(twisted, "RIGHT_HOM_ALT").passed
 
@@ -282,6 +283,14 @@ def test_nth_derived_values():
     assert first.twist == power(hombol.twist, 2)
     with pytest.raises(ValueError):
         nth_derived(hombol, -1)
+
+
+def test_nth_derived_of_an_involution_twist_is_periodic(ex51_bol):
+    """An involution's powers 2^n - 1 and 2^(n+1) - 2 are itself and the
+    identity for every n >= 1, so any derived structure equals the first."""
+    involution = EvenMap(SPACE_1_2, ((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    structure = HomBinaryTernary(ex51_bol.binary, ex51_bol.ternary, involution)
+    assert nth_derived(structure, 64) == nth_derived(structure, 1)
 
 
 def test_bilinear_form_validation():

@@ -101,6 +101,14 @@ def test_power_additivity(m, n):
     assert power(beta, m + n) == compose(power(beta, m), power(beta, n))
 
 
+def test_power_is_the_n_fold_composition():
+    f = EvenMap(SPACE_1_2, ((2, 0, 0), (0, 1, 3), (0, "-1/2", 2)))
+    composed = EvenMap.identity(SPACE_1_2)
+    for n in range(10):
+        assert power(f, n) == composed
+        composed = compose(f, composed)
+
+
 def test_is_even():
     assert is_even_matrix(example_5_1_beta(5, "1/2").matrix, SPACE_1_2)
     swap_i_to_j = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]

@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import itertools
 import random
 
@@ -15,10 +18,10 @@ from superbol.constructions import (
     plus_algebra,
     triple_element,
 )
+from superbol import engine
 from superbol.core import EvenMap, parity_of
 from superbol.dsl import parse_identity
 from superbol.engine import (
-    CompiledBinding,
     StructureBinding,
     UnboundSymbolError,
     check,
@@ -166,15 +169,44 @@ def test_no_state_survives_between_bindings(ex51):
     assert perturbed.residue == SPACE_1_2.element({"i": -2})
 
 
-def test_compiled_binding_is_shared_by_a_suite(ex51):
-    """One compiled binding serves every identity of a suite, in any order."""
+def test_binding_kernel_is_shared_by_a_suite(ex51):
+    """One binding's compiled kernel serves every identity of a suite, in any order."""
     spec = suite("RIGHT_ALT")
     mutated = mutate_jk(ex51)
-    compiled = CompiledBinding(binding_for(mutated, spec))
-    shared = [check(compiled, identity) for identity in reversed(spec.identities)]
+    binding = binding_for(mutated, spec)
+    shared = [check(binding, identity) for identity in reversed(spec.identities)]
     separate = [check(binding_for(mutated, spec), identity) for identity in reversed(spec.identities)]
     assert shared == separate
     assert not shared[0].passed
+
+
+_ORACLE = ("evaluate_on_elements", "_evaluate_expr", "_term_residue", "_twist_powers")
+
+
+def test_oracle_shares_nothing_with_the_kernel():
+    """The element-level oracle names no kernel function, node class or
+    table, and reads no binding attribute but ``space``, ``op`` and ``twist``."""
+    tree = ast.parse(inspect.getsource(engine))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    node_classes = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and (node.name == "_Node" or any(isinstance(base, ast.Name) and base.id == "_Node" for base in node.bases))
+    }
+    tables = {f.name for f in dataclasses.fields(StructureBinding) if not f.init}
+    assert {"_Leaf", "_Binary", "_Ternary"} <= node_classes and tables
+    kernel = {"_walk", "_exact", "node", "_build", "_tensor", "_twist_columns"} | node_classes | tables
+    for name in _ORACLE:
+        names = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id == "binding":
+                    assert node.attr in ("space", "op", "twist"), (name, node.attr)
+        assert not names & kernel, (name, names & kernel)
 
 
 # -- the kernel against the element-level evaluation, on random structures ----

@@ -193,6 +193,23 @@ def test_integer_literal_beyond_the_int_digit_limit_is_an_input_error(tmp_path):
         load(path)
 
 
+def test_saving_a_product_beyond_the_int_digit_limit_is_a_file_error(tmp_path):
+    binary = BinaryStructure(SPACE_1_2, {(1, 2): SPACE_1_2.element({"i": 10**5000})})
+    path = tmp_path / "huge.json"
+    with pytest.raises(AlgebraFileError, match=r"binary entry \(j, k\) -> i: cannot write"):
+        save(AlgebraDocument(name="t", structure=HomSuperalgebra.untwisted(binary)), path)
+    assert not path.exists()
+
+
+def test_saving_a_map_beyond_the_int_digit_limit_is_a_file_error(tmp_path):
+    structure = example_document("example_5_1").structure
+    huge = example_5_1_beta(10**5000, 0)
+    path = tmp_path / "huge.json"
+    with pytest.raises(AlgebraFileError, match=r"map 'huge' row 0: cannot write"):
+        save(AlgebraDocument(name="t", structure=structure, maps={"huge": huge}), path)
+    assert not path.exists()
+
+
 def test_map_named_id_is_rejected_at_load(tmp_path):
     payload = dict(BASE, maps={"id": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
     with pytest.raises(AlgebraFileError, match="reserved"):

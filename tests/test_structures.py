@@ -27,9 +27,9 @@ def b(name):
 
 
 def test_bin_mul_table_values(ex51):
-    assert ex51.mul(b("j"), b("k")) == SPACE_1_2.element({"i": 2})
-    assert ex51.mul(b("k"), b("j")) == SPACE_1_2.element({"i": 4})
-    assert ex51.mul(b("i"), SPACE_1_2.zero()).is_zero()
+    assert bin_mul(ex51.binary, b("j"), b("k")) == SPACE_1_2.element({"i": 2})
+    assert bin_mul(ex51.binary, b("k"), b("j")) == SPACE_1_2.element({"i": 4})
+    assert bin_mul(ex51.binary, b("i"), SPACE_1_2.zero()).is_zero()
 
 
 def test_tern_mul_table_values(ex31):
@@ -93,7 +93,7 @@ def test_half_convention_reconstructs_product(ex51):
     for xn, yn in itertools.product(SPACE_1_2.names, repeat=2):
         x, y = b(xn), b(yn)
         total = super_jordan(ex51, HALF, x, y) + supercommutator(ex51, HALF, x, y)
-        assert total == ex51.mul(x, y)
+        assert total == bin_mul(ex51.binary, x, y)
 
 
 def test_mixed_parity_inputs_extend_bilinearly(ex51):
