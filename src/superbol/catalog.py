@@ -194,10 +194,17 @@ def _split_example_name(name: str):
         base = base.strip()
         raw = raw.rstrip()[:-1].strip()
         if raw:
-            args = [rational(chunk.strip()) for chunk in raw.split(",")]
+            args = [_example_parameter(chunk.strip(), base) for chunk in raw.split(",")]
     if base not in _EXAMPLE_BUILDERS:
         raise KeyError(f"unknown example {name!r}; available: {', '.join(example_names())}")
     return base, args
+
+
+def _example_parameter(text: str, base: str):
+    try:
+        return rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"example {base!r}: cannot parse rational parameter {text!r} (expected 'p' or 'p/q')") from None
 
 
 def example_document(name: str):

@@ -1,18 +1,31 @@
 """Exhaustive evaluation of multilinear identities over homogeneous basis tuples.
 
-For an identity in n variables over a d-dimensional space the checker walks
-all d**n assignments of basis vectors to variables in lexicographic basis
-order, so the first counterexample of a failing identity is reproducible.
-Every tuple is evaluated (no short-circuit), so the reported tuple count is
-the full enumeration whatever the verdict.
+For an identity in n variables over a d-dimensional space the checker decides
+all d**n assignments of basis vectors to variables, and reports the first
+counterexample of a failing identity in lexicographic basis order, so it is
+reproducible.  The reported tuple count is always d**n.
 
 :func:`check` runs a kernel that each :class:`StructureBinding` compiles for
-itself on first use and keeps: exact sparse tensors, Koszul signs tabulated
-per parity pattern, and memoized value tables for every proper sub-term, so
-each tuple only combines the top node of each term.  :func:`tabulate` walks the
-same tuples and returns the nonzero values instead of a verdict; every
-derived product of the toolkit (supercommutator, Jordan product, the Bol and
-triple ternaries) is a term sum built this way.
+itself on first use and keeps.  Each proper sub-term of a term becomes a
+node holding a table of its nonzero values only, built once by joining its
+argument tables through an index of the tensor's support (by left index for
+a binary product, by (i, j) pair for a ternary one) and through an index of
+the argument tables by component; sub-terms equal up to renaming share one
+node.  The top node of each term is not kept: it is computed in chunks, one
+per basis index of the identity's first variable, and the chunks are visited
+in order, so a failing check stops at the first chunk with a nonzero
+residue and reports that chunk's least failing tuple.  A tuple outside the
+support of every term has residue zero, so visiting only the supports
+decides every one of the d**n tuples and the count stays exact.
+
+Arithmetic is integer.  Tensors and twist columns are stored as integers
+times the lcm of their denominators; a node's values are its true values
+times its scale, the product of its factors' scales; each identity gets one
+common scale S, and each term one integer weight, coefficient * S / scale.
+The residue is divided by S only when an :class:`Element` is built.
+:func:`tabulate` reads the same chunks and returns the nonzero values
+instead of a verdict; every derived product of the toolkit (supercommutator,
+Jordan product, the Bol and triple ternaries) is a term sum built this way.
 
 Checking only homogeneous basis tuples is sound and complete here because
 every identity :func:`dsl.build_identity` admits, parsed or built, is
@@ -24,18 +37,18 @@ claim in the tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import Element, EvenMap, SuperSpace, apply_map, power
-from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, Twist, Var, variable_counts
+from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, SignPoly, Twist, Var
 from .reports import CheckReport
 from .structures import BinaryStructure, TernaryStructure, bin_mul, tern_mul
 
 OpStructure = Union[BinaryStructure, TernaryStructure]
-Scalar = Union[int, Fraction]
 
 
 class UnboundSymbolError(KeyError):
@@ -51,10 +64,10 @@ class StructureBinding:
     bound structures must share one superspace.
 
     The binding also holds the kernel behind :func:`check`, compiled when a
-    check first needs it: each bound structure as a plain
-    ``{(i, j[, k]): {target: scalar}}`` dict, each non-identity twist power as
-    a list of sparse columns, and one node per sub-term, whose value table is
-    filled on demand and shared by every sub-term equal to it up to renaming,
+    check first needs it: each bound structure as integer constants indexed
+    by their support, each non-identity twist power as integer sparse
+    columns, and one node per sub-term, whose table of nonzero values is
+    joined once and shared by every sub-term equal to it up to renaming,
     across all identities checked on this binding.  A new binding starts with
     empty tables, so it never sees values of an old one.
     """
@@ -62,8 +75,8 @@ class StructureBinding:
     space: SuperSpace
     ops: Mapping[str, OpStructure]
     twist: EvenMap
-    _tensors: dict[str, dict] = field(init=False, repr=False, compare=False, default_factory=dict)
-    _columns: dict[int, Optional[list[dict[int, Scalar]]]] = field(
+    _tensors: dict[str, tuple[int, dict]] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _columns: dict[int, Optional[tuple[int, list[dict[int, int]]]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     _nodes: dict[Expr, _Node] = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -85,23 +98,36 @@ class StructureBinding:
         except KeyError:
             raise UnboundSymbolError(f"no structure bound to operation symbol {symbol!r}") from None
 
-    def _tensor(self, symbol: str) -> dict:
+    def _tensor(self, symbol: str) -> tuple[int, dict]:
+        """The bound structure as ``(scale, support)``: its constants times
+        ``scale``, the lcm of their denominators, indexed for the joins of
+        :class:`_Binary` and :class:`_Ternary`."""
         if symbol not in self._tensors:
-            constants = self.op(symbol).constants
-            self._tensors[symbol] = {
-                key: {target: _exact(c) for target, c in value.coords.items()}
-                for key, value in constants.items()
-            }
+            structure = self.op(symbol)
+            constants = {key: value.coords for key, value in structure.constants.items() if value.coords}
+            scale = math.lcm(*(c.denominator for coords in constants.values() for c in coords.values()))
+            support: dict = {}
+            for key, coords in constants.items():
+                row = _integral(coords, scale)
+                if structure.arity == 2:
+                    support.setdefault(key[0], []).append((key[1], row))
+                else:
+                    support.setdefault(key[0], {}).setdefault(key[1], []).append((key[2], row))
+            if structure.arity == 3:
+                support = {i: list(pairs.items()) for i, pairs in support.items()}
+            self._tensors[symbol] = scale, support
         return self._tensors[symbol]
 
-    def _twist_columns(self, n: int) -> Optional[list[dict[int, Scalar]]]:
-        """Sparse columns of the n-th twist power; None for the identity map."""
+    def _twist_columns(self, n: int) -> Optional[tuple[int, list[dict[int, int]]]]:
+        """The n-th twist power as ``(scale, columns)``, its sparse columns
+        times ``scale``; None for the identity map."""
         if n not in self._columns:
             matrix = power(self.twist, n)
-            self._columns[n] = None if matrix.is_identity() else [
-                {target: _exact(row[source]) for target, row in enumerate(matrix.matrix) if row[source]}
+            scale = math.lcm(*(c.denominator for row in matrix.matrix for c in row))
+            self._columns[n] = None if matrix.is_identity() else (scale, [
+                _integral({target: row[source] for target, row in enumerate(matrix.matrix) if row[source]}, scale)
                 for source in range(self.space.dim)
-            ]
+            ])
         return self._columns[n]
 
     def node(self, expr: Expr) -> tuple[_Node, tuple[str, ...]]:
@@ -118,7 +144,7 @@ class StructureBinding:
         if isinstance(expr, Twist):
             columns = self._twist_columns(expr.power)
             arg = self.node(expr.arg)[0]
-            return arg if columns is None else _Twisted(columns, arg)
+            return arg if columns is None else _Twisted(*columns, arg)
         if expr.op == ASSOC:
             a, b, c = expr.args
             return _Difference(
@@ -127,7 +153,7 @@ class StructureBinding:
             )
         args = [self.node(arg)[0] for arg in expr.args]
         kind = _Ternary if expr.op in (BRACES, ANGLE) else _Binary
-        return kind(self._tensor(expr.op), args, _child_keys(expr.args))
+        return kind(*self._tensor(expr.op), args)
 
 
 def _twist_powers(binding: StructureBinding, identity: Identity) -> dict[int, EvenMap]:
@@ -164,38 +190,86 @@ def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapp
 
 # -- the compiled kernel behind check -------------------------------------------
 #
-# Vectors are plain {basis index: scalar} dicts without zero entries; scalars
-# are ints where exact and Fractions otherwise.  None of this code, nor the
-# binding methods that build it, is shared with the element-level evaluation
-# above, which stays the independent oracle.
+# Vectors are plain {basis index: int} dicts without zero entries.  A node's
+# vectors are its true values times the node's integer ``scale``, and an
+# identity's residues are true residues times one common scale, divided out
+# only when an Element is built.  None of this code, nor the binding methods
+# that build it, is shared with the element-level evaluation above, which
+# stays the independent oracle.
 
 
-def _exact(value: Fraction) -> Scalar:
-    return value.numerator if value.denominator == 1 else value
+def _integral(coords: Mapping[int, Fraction], scale: int) -> dict[int, int]:
+    """``scale`` times ``coords``; ``scale`` is a multiple of every denominator."""
+    return {target: c.numerator * (scale // c.denominator) for target, c in coords.items()}
+
+
+def _nonzero(part: dict, prefix: tuple = (), out: Optional[dict] = None) -> dict:
+    """``out`` (a new dict by default) with each nonzero vector of ``part``
+    added under ``prefix`` + its key, its zero entries dropped."""
+    out = {} if out is None else out
+    for key, vector in part.items():
+        if 0 in vector.values():
+            vector = {target: c for target, c in vector.items() if c}
+            if not vector:
+                continue
+        out[prefix + key] = vector
+    return out
+
+
+def _components(rows: Mapping[tuple, dict[int, int]]) -> dict[int, list[tuple[tuple, int]]]:
+    """``rows`` indexed by component: basis index -> [(key, coefficient)]."""
+    index: dict[int, list[tuple[tuple, int]]] = {}
+    for key, vector in rows.items():
+        for target, c in vector.items():
+            index.setdefault(target, []).append((key, c))
+    return index
 
 
 class _Node:
-    """A compiled sub-term, keyed by the basis indices of its own variables in
-    traversal order (an int for one variable, a tuple otherwise).
+    """A compiled sub-term, keyed by the tuple of basis indices of its own
+    ``width`` variables in traversal order.
 
-    ``accumulate`` adds ``factor`` times the sub-term's value at ``key`` into
-    ``out``; ``value`` returns that value and memoizes it in ``table``.
+    ``rows(fix)`` returns the sub-term's nonzero values, restricted to the keys
+    with basis index ``fix[1]`` at position ``fix[0]`` unless ``fix`` is None;
+    ``table()`` joins all of them once and keeps them.  A product reads its
+    arguments through their kept tables, while a twist or an associator passes
+    ``fix`` on to its arguments, so the top node of a term is computed afresh,
+    one restriction at a time, and never kept on its own account.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("scale", "width", "_table", "_components", "_slices")
 
-    def __init__(self) -> None:
-        self.table: dict = {}
+    def __init__(self, scale: int, width: int) -> None:
+        self.scale, self.width = scale, width
+        self._table: Optional[dict[tuple, dict[int, int]]] = None
+        self._components: Optional[dict[int, list[tuple[tuple, int]]]] = None
+        self._slices: dict[int, dict[int, dict]] = {}
 
-    def value(self, key) -> dict[int, Scalar]:
-        value = self.table.get(key)
-        if value is None:
-            out: dict[int, Scalar] = {}
-            self.accumulate(key, 1, out)
-            value = self.table[key] = {target: c for target, c in out.items() if c}
-        return value
+    def table(self) -> dict[tuple, dict[int, int]]:
+        if self._table is None:
+            self._table = self._join(None)
+        return self._table
 
-    def accumulate(self, key, factor: Scalar, out: dict[int, Scalar]) -> None:
+    def components(self) -> dict[int, list[tuple[tuple, int]]]:
+        if self._components is None:
+            self._components = _components(self.table())
+        return self._components
+
+    def at(self, position: int, index: int) -> dict[tuple, dict[int, int]]:
+        """The rows of the kept table with ``index`` at ``position``."""
+        slices = self._slices.get(position)
+        if slices is None:
+            slices = self._slices[position] = {}
+            for key, vector in self.table().items():
+                slices.setdefault(key[position], {})[key] = vector
+        return slices.get(index, {})
+
+    def rows(self, fix: Optional[tuple[int, int]]) -> dict[tuple, dict[int, int]]:
+        if self._table is None:
+            return self._join(fix)
+        return self._table if fix is None else self.at(*fix)
+
+    def _join(self, fix: Optional[tuple[int, int]]) -> dict[tuple, dict[int, int]]:
         raise NotImplementedError
 
 
@@ -205,103 +279,137 @@ class _Leaf(_Node):
     __slots__ = ()
 
     def __init__(self, dim: int) -> None:
-        self.table = {i: {i: 1} for i in range(dim)}
-
-    def accumulate(self, key, factor, out):
-        out[key] = out.get(key, 0) + factor
+        super().__init__(1, 1)
+        self._table = {(i,): {i: 1} for i in range(dim)}
 
 
 class _Twisted(_Node):
-    """A non-identity twist power, stored as sparse columns, applied to a sub-term."""
+    """A non-identity twist power, stored as integer sparse columns, applied
+    to a sub-term of the same key, which it reads through ``rows``."""
 
     __slots__ = ("columns", "arg")
 
-    def __init__(self, columns: list[dict[int, Scalar]], arg: _Node) -> None:
-        super().__init__()
+    def __init__(self, scale: int, columns: list[dict[int, int]], arg: _Node) -> None:
+        super().__init__(scale * arg.scale, arg.width)
         self.columns, self.arg = columns, arg
 
-    def accumulate(self, key, factor, out):
-        # The argument has the same key; it is evaluated, not memoized, so a
-        # twisted top node never tabulates an argument over all the variables.
-        value: dict[int, Scalar] = {}
-        self.arg.accumulate(key, factor, value)
+    def _join(self, fix):
         columns = self.columns
-        for source, c in value.items():
-            for target, entry in columns[source].items():
-                out[target] = out.get(target, 0) + c * entry
+        out: dict[tuple, dict[int, int]] = {}
+        for key, vector in self.arg.rows(fix).items():
+            image: dict[int, int] = {}
+            for source, c in vector.items():
+                for target, entry in columns[source].items():
+                    image[target] = image.get(target, 0) + c * entry
+            out[key] = image
+        return _nonzero(out)
 
 
-class _Binary(_Node):
-    __slots__ = ("tensor", "left", "right", "left_key", "right_key")
+class _Product(_Node):
+    """A product of the bound tensor ``support`` with its argument nodes."""
 
-    def __init__(self, tensor, args, keys) -> None:
-        super().__init__()
-        self.tensor = tensor
-        self.left, self.right = args
-        self.left_key, self.right_key = keys
+    __slots__ = ("support", "args")
 
-    def accumulate(self, key, factor, out):
-        a = self.left.value(self.left_key(key))
-        if not a:
-            return
-        b = self.right.value(self.right_key(key))
-        if not b:
-            return
-        tensor = self.tensor
-        for i, ca in a.items():
-            ca *= factor
-            for j, cb in b.items():
-                row = tensor.get((i, j))
-                if row is not None:
-                    c = ca * cb
-                    for target, entry in row.items():
-                        out[target] = out.get(target, 0) + c * entry
+    def __init__(self, scale: int, support: dict, args: Sequence[_Node]) -> None:
+        super().__init__(scale * math.prod(arg.scale for arg in args), sum(arg.width for arg in args))
+        self.support, self.args = support, tuple(args)
+
+    def _arguments(self, fix):
+        """The first argument's rows and the component indexes of the others;
+        the argument holding position ``fix[0]`` is restricted to ``fix[1]``."""
+        first, *rest = self.args
+        rows, indexes = first.table(), [arg.components() for arg in rest]
+        if fix is not None:
+            position, basis = fix
+            for n, arg in enumerate(self.args):
+                if position < arg.width:
+                    if n:
+                        indexes[n - 1] = _components(arg.at(position, basis))
+                    else:
+                        rows = arg.at(position, basis)
+                    break
+                position -= arg.width
+        return rows, indexes
 
 
-class _Ternary(_Node):
-    __slots__ = ("tensor", "first", "second", "third", "first_key", "second_key", "third_key")
+class _Binary(_Product):
+    """``support`` indexes the tensor by left argument: i -> [(j, row)]."""
 
-    def __init__(self, tensor, args, keys) -> None:
-        super().__init__()
-        self.tensor = tensor
-        self.first, self.second, self.third = args
-        self.first_key, self.second_key, self.third_key = keys
+    __slots__ = ()
 
-    def accumulate(self, key, factor, out):
-        a = self.first.value(self.first_key(key))
-        if not a:
-            return
-        b = self.second.value(self.second_key(key))
-        if not b:
-            return
-        c = self.third.value(self.third_key(key))
-        if not c:
-            return
-        tensor = self.tensor
-        for i, ca in a.items():
-            ca *= factor
-            for j, cb in b.items():
-                cab = ca * cb
-                for k, cc in c.items():
-                    row = tensor.get((i, j, k))
-                    if row is not None:
-                        coefficient = cab * cc
-                        for target, entry in row.items():
-                            out[target] = out.get(target, 0) + coefficient * entry
+    def _join(self, fix):
+        lefts, (rights,) = self._arguments(fix)
+        support = self.support
+        out: dict[tuple, dict[int, int]] = {}
+        for kl, a in lefts.items():
+            part: dict[tuple, dict[int, int]] = {}
+            for i, ca in a.items():
+                for j, row in support.get(i, ()):
+                    for kr, cb in rights.get(j, ()):
+                        c = ca * cb
+                        acc = part.get(kr)
+                        if acc is None:
+                            part[kr] = {target: c * entry for target, entry in row.items()}
+                        else:
+                            for target, entry in row.items():
+                                acc[target] = acc.get(target, 0) + c * entry
+            _nonzero(part, kl, out)
+        return out
+
+
+class _Ternary(_Product):
+    """``support`` indexes the tensor by (i, j) pair: i -> [(j, [(k, row)])]."""
+
+    __slots__ = ()
+
+    def _join(self, fix):
+        firsts, (seconds, thirds) = self._arguments(fix)
+        support = self.support
+        out: dict[tuple, dict[int, int]] = {}
+        for ka, a in firsts.items():
+            part: dict[tuple, dict[int, int]] = {}
+            for i, ca in a.items():
+                for j, pairs in support.get(i, ()):
+                    bs = seconds.get(j)
+                    if bs is None:
+                        continue
+                    for k, row in pairs:
+                        cs = thirds.get(k)
+                        if cs is None:
+                            continue
+                        for kb, cb in bs:
+                            cab = ca * cb
+                            for kc, cc in cs:
+                                c = cab * cc
+                                key = kb + kc
+                                acc = part.get(key)
+                                if acc is None:
+                                    part[key] = {target: c * entry for target, entry in row.items()}
+                                else:
+                                    for target, entry in row.items():
+                                        acc[target] = acc.get(target, 0) + c * entry
+            _nonzero(part, ka, out)
+        return out
 
 
 class _Difference(_Node):
-    """``as(a,b,c)``: ``((a*b)*A(c)) - (A(a)*(b*c))``; both sides read the same key."""
+    """``as(a,b,c)``: ``((a*b)*A(c)) - (A(a)*(b*c))``; both sides read the same
+    key and are brought to the lcm of their scales."""
 
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: _Node, minus: _Node) -> None:
-        super().__init__()
+        super().__init__(math.lcm(plus.scale, minus.scale), plus.width)
         self.plus, self.minus = plus, minus
 
-    def accumulate(self, key, factor, out):
-        self.plus.accumulate(key, factor, out)
-        self.minus.accumulate(key, -factor, out)
+    def _join(self, fix):
+        up, down = self.scale // self.plus.scale, self.scale // self.minus.scale
+        out = {key: {target: up * c for target, c in vector.items()} for key, vector in self.plus.rows(fix).items()}
+        for key, vector in self.minus.rows(fix).items():
+            acc = out.setdefault(key, {})
+            for target, c in vector.items():
+                acc[target] = acc.get(target, 0) - down * c
+        return _nonzero(out)
 
 
 def _canonical(expr: Expr, order: dict[str, str]) -> Expr:
@@ -317,40 +425,76 @@ def _canonical(expr: Expr, order: dict[str, str]) -> Expr:
     return Call(expr.op, tuple(_canonical(arg, order) for arg in expr.args))
 
 
-def _child_keys(args: Sequence[Expr]) -> list[itemgetter]:
-    """Getters of each argument's key from the key of the call; the arguments'
-    variables are consecutive runs of the call's traversal order."""
-    keys, start = [], 0
-    for arg in args:
-        counts: dict[str, int] = {}
-        variable_counts(arg, counts)
-        width = len(counts)
-        keys.append(itemgetter(start) if width == 1 else itemgetter(slice(start, start + width)))
-        start += width
-    return keys
+def _picker(positions: Sequence[int]) -> itemgetter:
+    """A getter of the tuple ``(key[p] for p in positions)``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-def _walk(binding: StructureBinding, identity: Identity):
-    """Yield ``(indices, residue)`` at every basis tuple in lexicographic order;
-    the residue dict may hold zero entries."""
-    space, variables = binding.space, identity.variables
+class _Weights(dict):
+    """A term's signed integer weight, keyed by the basis indices its sign
+    exponent reads (in sorted variable order); the sign of each parity
+    pattern is evaluated once, on first use."""
+
+    def __init__(self, weight: int, sign: SignPoly, names: Sequence[str], parities: Sequence[int]) -> None:
+        super().__init__()
+        self.weight, self.sign, self.names, self.parities = weight, sign, names, parities
+        self.patterns: dict[tuple[int, ...], int] = {}
+
+    def __missing__(self, indices: tuple[int, ...]) -> int:
+        pattern = tuple([self.parities[i] for i in indices])
+        value = self.patterns.get(pattern)
+        if value is None:
+            value = self.patterns[pattern] = self.weight * self.sign.sign(dict(zip(self.names, pattern)))
+        self[indices] = value
+        return value
+
+
+def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[tuple]]:
+    """The identity's common scale S and, per term, its node, the key position
+    of the identity's first variable, the getters of the identity-ordered
+    tuple and of the sign's indices, and the term's weights.
+
+    A term's weight is ``coefficient * S / node.scale``, an integer because S
+    is the lcm of every ``node.scale * coefficient.denominator``."""
+    variables, parities = identity.variables, binding.space.parities
+    nodes = [binding.node(term.expr) for term in identity.terms]
+    scale = math.lcm(*(node.scale * term.coefficient.denominator for term, (node, _) in zip(identity.terms, nodes)))
     terms = []
-    for term in identity.terms:
-        node, order = binding.node(term.expr)
-        factors = {
-            parities: _exact(term.coefficient * term.sign.sign(dict(zip(variables, parities))))
-            for parities in itertools.product((0, 1), repeat=identity.arity)
-        }
-        terms.append((node.accumulate, itemgetter(*map(variables.index, order)), factors))
+    for term, (node, order) in zip(identity.terms, nodes):
+        coefficient = term.coefficient
+        weight = coefficient.numerator * (scale // (node.scale * coefficient.denominator))
+        names = sorted(term.sign.variables)
+        terms.append((
+            node,
+            order.index(variables[0]),
+            _picker([order.index(var) for var in variables]),
+            _picker([order.index(name) for name in names]),
+            _Weights(weight, term.sign, names, parities),
+        ))
+    return scale, terms
 
-    for indices, parities in zip(
-        itertools.product(range(space.dim), repeat=identity.arity),
-        itertools.product(space.parities, repeat=identity.arity),
-    ):
-        residue: dict[int, Scalar] = {}
-        for accumulate, key, factors in terms:
-            accumulate(key(indices), factors[parities], residue)
-        yield indices, residue
+
+def _chunk(terms: list[tuple], index: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """The scaled residues of every tuple whose first variable is basis vector
+    ``index`` and at which some term is nonzero; they may hold zero entries."""
+    residue: dict[tuple[int, ...], dict[int, int]] = {}
+    for node, position, reorder, signed, weights in terms:
+        for key, vector in node.rows((position, index)).items():
+            w = weights[signed(key)]
+            indices = reorder(key)
+            acc = residue.get(indices)
+            if acc is None:
+                residue[indices] = {target: w * c for target, c in vector.items()}
+            else:
+                for target, c in vector.items():
+                    acc[target] = acc.get(target, 0) + w * c
+    return residue
+
+
+def _element(space: SuperSpace, vector: Mapping[int, int], scale: int) -> Element:
+    return Element(space, {target: Fraction(c, scale) for target, c in vector.items() if c})
 
 
 def check(binding: StructureBinding, identity: Identity) -> CheckReport:
@@ -359,37 +503,41 @@ def check(binding: StructureBinding, identity: Identity) -> CheckReport:
     The residue at each tuple is the signed, coefficient-weighted sum of the
     identity's terms; the identity passes iff the residue is the zero element
     at all tuples.  The counterexample reported for a failing identity is the
-    lexicographically first failing tuple in basis order.  Checks on one
-    binding share its compiled tensors and sub-term tables.
+    lexicographically first failing tuple in basis order: the least failing
+    tuple of the first chunk that has one.  Checks on one binding share its
+    compiled tensors and sub-term tables.
     """
     space = binding.space
-    failure = None
-    for indices, residue in _walk(binding, identity):
-        if failure is None and any(residue.values()):
-            failure = (indices, residue)
-
     total = space.dim ** identity.arity
-    if failure is None:
-        return CheckReport(name=identity.name, passed=True, tuples_checked=total)
-    indices, residue = failure
-    return CheckReport(
-        name=identity.name,
-        passed=False,
-        tuples_checked=total,
-        counterexample=tuple(space.names[i] for i in indices),
-        residue=Element(space, residue),
-    )
+    scale, terms = _compile(binding, identity)
+    for index in range(space.dim):
+        residue = _chunk(terms, index)
+        failing = [indices for indices, vector in residue.items() if any(vector.values())]
+        if failing:
+            indices = min(failing)
+            return CheckReport(
+                name=identity.name,
+                passed=False,
+                tuples_checked=total,
+                counterexample=tuple(space.names[i] for i in indices),
+                residue=_element(space, residue[indices], scale),
+            )
+    return CheckReport(name=identity.name, passed=True, tuples_checked=total)
 
 
 def tabulate(binding: StructureBinding, identity: Identity) -> dict[tuple[int, ...], Element]:
     """The nonzero values of the identity's term sum, keyed by basis-index
-    tuple in the order of ``identity.variables``: the structure constants of
-    the product the term sum defines."""
-    return {
-        indices: Element(binding.space, residue)
-        for indices, residue in _walk(binding, identity)
-        if any(residue.values())
-    }
+    tuple in the order of ``identity.variables``, in lexicographic order: the
+    structure constants of the product the term sum defines."""
+    space = binding.space
+    scale, terms = _compile(binding, identity)
+    table = {}
+    for index in range(space.dim):
+        residue = _chunk(terms, index)
+        for indices in sorted(residue):
+            if any(residue[indices].values()):
+                table[indices] = _element(space, residue[indices], scale)
+    return table
 
 
 def evaluate_on_elements(

@@ -30,6 +30,15 @@ def test_examples_unknown_name(tmp_path, capsys):
     assert code == 2 and "unknown example" in err
 
 
+@pytest.mark.parametrize("name", ["example_5_1_hombol(1/0,1)", "jordan_form_triple(2/0)", "jordan_form_triple(x)"])
+def test_examples_bad_parameter_is_an_input_error(tmp_path, capsys, name):
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "examples", "--emit", name, "-o", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "cannot parse rational parameter" in err
+    assert not out.exists()
+
+
 def test_check_pass(ex51_file, capsys):
     code, out, _ = run(capsys, "check", str(ex51_file), "--suite", "RIGHT_ALT")
     assert code == 0
