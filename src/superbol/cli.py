@@ -191,7 +191,7 @@ def cmd_examples(args) -> int:
     try:
         document = example_document(args.emit)
     except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(exc.args[0]) from exc
     save(document, args.output)
     print(f"wrote {args.output}")
     return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 EVEN = 0
@@ -238,7 +239,12 @@ def is_even_matrix(rows: Iterable[Iterable[Scalar]], space: SuperSpace) -> bool:
 
 @dataclass(frozen=True)
 class EvenMap:
-    """A parity-preserving linear self-map stored as a (target, source) matrix."""
+    """A parity-preserving linear self-map stored as a (target, source) matrix.
+
+    ``columns`` is its sparse view, computed once and never mutated: the
+    nonzero entries of each source column as ``{target: entry}``.  Map
+    arithmetic reads only that view.
+    """
 
     space: SuperSpace
     matrix: tuple[tuple[Fraction, ...], ...] = field(default=())
@@ -271,8 +277,12 @@ class EvenMap:
         )
         return EvenMap(space, rows)
 
+    @cached_property
+    def columns(self) -> tuple[dict[int, Fraction], ...]:
+        return tuple({i: row[j] for i, row in enumerate(self.matrix) if row[j]} for j in range(self.space.dim))
+
     def is_identity(self) -> bool:
-        return self == EvenMap.identity(self.space)
+        return all(column == {j: 1} for j, column in enumerate(self.columns))
 
 
 def apply_map(f: EvenMap, element: Element) -> Element:
@@ -281,27 +291,28 @@ def apply_map(f: EvenMap, element: Element) -> Element:
         raise ValueError("map and element live in different superspaces")
     out: dict[int, Fraction] = {}
     for source, value in element.coords.items():
-        for target in range(f.space.dim):
-            entry = f.matrix[target][source]
-            if entry != 0:
-                out[target] = out.get(target, Fraction(0)) + entry * value
+        for target, entry in f.columns[source].items():
+            out[target] = out.get(target, 0) + entry * value
     return Element(f.space, out)
 
 
 def compose(f: EvenMap, g: EvenMap) -> EvenMap:
-    """The map ``f after g`` (matrix product f·g)."""
+    """The map ``f after g`` (matrix product f·g), summed over the pairs of
+    nonzero entries only."""
     if f.space != g.space:
         raise ValueError("cannot compose maps over different superspaces")
-    n = f.space.dim
-    rows = tuple(
-        tuple(sum((f.matrix[i][k] * g.matrix[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-    return EvenMap(f.space, rows)
+    n, zero = f.space.dim, Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for j, column in enumerate(g.columns):
+        for k, entry in column.items():
+            for i, c in f.columns[k].items():
+                rows[i][j] += c * entry
+    return EvenMap(f.space, tuple(map(tuple, rows)))
 
 
 def power(f: EvenMap, n: int) -> EvenMap:
-    """n-fold composition; ``power(f, 0)`` is the identity.
+    """n-fold composition; ``power(f, 0)`` is the identity and ``power(f, 1)``
+    is ``f`` itself.
 
     Computed by repeated squaring, so the cost grows with the bit length of n;
     powers of one map commute and the arithmetic is exact, so the result is
@@ -309,12 +320,14 @@ def power(f: EvenMap, n: int) -> EvenMap:
     """
     if n < 0:
         raise ValueError("power expects a nonnegative exponent")
-    result = EvenMap.identity(f.space)
-    while n:
+    if n == 0:
+        return EvenMap.identity(f.space)
+    result = None
+    while True:
         if n & 1:
-            result = compose(f, result)
+            result = f if result is None else compose(f, result)
         n >>= 1
-        if n:
-            f = compose(f, f)
-    return result
+        if not n:
+            return result
+        f = compose(f, f)
 

@@ -66,10 +66,11 @@ class StructureBinding:
     The binding also holds the kernel behind :func:`check`, compiled when a
     check first needs it: each bound structure as integer constants indexed
     by their support, each non-identity twist power as integer sparse
-    columns, and one node per sub-term, whose table of nonzero values is
-    joined once and shared by every sub-term equal to it up to renaming,
-    across all identities checked on this binding.  A new binding starts with
-    empty tables, so it never sees values of an old one.
+    columns read from the power's nonzero entries (an identity twist
+    compiles to no powers at all), and one node per sub-term, whose table of
+    nonzero values is joined once and shared by every sub-term equal to it up
+    to renaming, across all identities checked on this binding.  A new
+    binding starts with empty tables, so it never sees values of an old one.
     """
 
     space: SuperSpace
@@ -120,14 +121,14 @@ class StructureBinding:
 
     def _twist_columns(self, n: int) -> Optional[tuple[int, list[dict[int, int]]]]:
         """The n-th twist power as ``(scale, columns)``, its sparse columns
-        times ``scale``; None for the identity map."""
+        times ``scale``; None for the identity map.  An identity twist
+        compiles to None at once, without building any power."""
         if n not in self._columns:
-            matrix = power(self.twist, n)
-            scale = math.lcm(*(c.denominator for row in matrix.matrix for c in row))
-            self._columns[n] = None if matrix.is_identity() else (scale, [
-                _integral({target: row[source] for target, row in enumerate(matrix.matrix) if row[source]}, scale)
-                for source in range(self.space.dim)
-            ])
+            matrix = self.twist if self.twist.is_identity() else power(self.twist, n)
+            scale = math.lcm(*(c.denominator for column in matrix.columns for c in column.values()))
+            self._columns[n] = None if matrix.is_identity() else (
+                scale, [_integral(column, scale) for column in matrix.columns]
+            )
         return self._columns[n]
 
     def node(self, expr: Expr) -> tuple[_Node, tuple[str, ...]]:

@@ -27,7 +27,7 @@ def test_examples_list(capsys):
 
 def test_examples_unknown_name(tmp_path, capsys):
     code, _, err = run(capsys, "examples", "--emit", "nope", "-o", str(tmp_path / "x.json"))
-    assert code == 2 and "unknown example" in err
+    assert code == 2 and err.startswith("error: unknown example 'nope'")
 
 
 @pytest.mark.parametrize("name", ["example_5_1_hombol(1/0,1)", "jordan_form_triple(2/0)", "jordan_form_triple(x)"])

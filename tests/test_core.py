@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.core import (
@@ -107,6 +108,61 @@ def test_power_is_the_n_fold_composition():
     for n in range(10):
         assert power(f, n) == composed
         composed = compose(f, composed)
+
+
+
+def _dense_compose(f, g):
+    n = len(f)
+    return tuple(tuple(sum((f[i][k] * g[k][j] for k in range(n)), Fraction(0)) for j in range(n)) for i in range(n))
+
+
+def _dense_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+@st.composite
+def _even_maps_and_element(draw):
+    """A space of dim 1-6, two even maps on it (each the zero map, the
+    identity, or random entries anywhere in the even blocks) and an element."""
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)), min_size=1, max_size=6))
+    space = SuperSpace.build((f"v{i}", p) for i, p in enumerate(parities))
+    n = space.dim
+    scalars = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+    def even_map():
+        kind = draw(st.sampled_from(("zero", "identity", "blocks")))
+        if kind == "identity":
+            return EvenMap.identity(space)
+        return EvenMap(space, tuple(
+            tuple(draw(scalars) if kind == "blocks" and parities[i] == parities[j] else 0 for j in range(n))
+            for i in range(n)
+        ))
+
+    coords = draw(st.dictionaries(st.integers(0, n - 1), scalars))
+    return even_map(), even_map(), Element(space, coords)
+
+
+@given(_even_maps_and_element())
+@example((
+    EvenMap(SPACE_1_2, ((2, 0, 0), (0, 1, 3), (0, "-1/2", 2))),
+    EvenMap(SPACE_1_2, ((0, 0, 0), (0, 0, 1), (0, 1, 0))),
+    SPACE_1_2.element({"i": 1, "j": "2/3", "k": -1}),
+))
+def test_sparse_map_arithmetic_matches_dense_reference(maps):
+    f, g, element = maps
+    n = f.space.dim
+    composed = compose(f, g)
+    assert composed.matrix == _dense_compose(f.matrix, g.matrix)
+    dense = _dense_identity(n)
+    for exponent in range(10):
+        result = power(f, exponent)
+        assert result.matrix == dense
+        assert all(type(entry) is Fraction for row in result.matrix + composed.matrix for entry in row)
+        dense = _dense_compose(f.matrix, dense)
+    image = {i: sum((f.matrix[i][j] * c for j, c in element.coords.items()), Fraction(0)) for i in range(n)}
+    assert apply_map(f, element) == Element(f.space, image)
+    assert f.is_identity() == (f.matrix == _dense_identity(n))
+    assert g.is_identity() == (g.matrix == _dense_identity(n))
 
 
 def test_is_even():

@@ -18,7 +18,7 @@ from superbol.constructions import (
     plus_algebra,
     triple_element,
 )
-from superbol import engine
+from superbol import core, engine
 from superbol.core import EvenMap, SuperSpace, parity_of
 from superbol.dsl import parse_identity
 from superbol.engine import (
@@ -179,6 +179,22 @@ def test_binding_kernel_is_shared_by_a_suite(ex51):
     separate = [check(binding_for(mutated, spec), identity) for identity in reversed(spec.identities)]
     assert shared == separate
     assert not shared[0].passed
+
+
+def test_identity_twist_compiles_to_no_powers(ex51, ex51_bol, monkeypatch):
+    """An identity-twist suite builds no twist power and composes no maps,
+    while an involution's square still compiles away."""
+    involution = EvenMap(SPACE_1_2, ((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    binding = StructureBinding(SPACE_1_2, {"*": ex51.binary}, involution)
+    assert binding._twist_columns(2) is None and binding._twist_columns(1) is not None
+
+    def forbidden(*args):
+        raise AssertionError("map arithmetic on an identity twist")
+
+    monkeypatch.setattr(engine, "power", forbidden)
+    monkeypatch.setattr(core, "compose", forbidden)
+    assert run_suite(ex51, "RIGHT_ALT").passed
+    assert run_suite(ex51_bol, "BOL").passed
 
 
 _ORACLE = ("evaluate_on_elements", "_evaluate_expr", "_term_residue", "_twist_powers")
