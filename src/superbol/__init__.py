@@ -20,6 +20,7 @@ from .structures import (
     BinaryStructure,
     Convention,
     HomBinaryTernary,
+    HomStructure,
     HomSuperalgebra,
     HomTripleSystem,
     TernaryStructure,
@@ -57,7 +58,6 @@ from .operators import (
     Lxy,
     lemma_binding,
     lemma_identities,
-    pair_swap_signs,
     verify_operator_lemmas,
 )
 from .storage import AlgebraDocument, AlgebraFileError, load, save

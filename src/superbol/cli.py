@@ -38,7 +38,7 @@ from .storage import (
     load,
     save,
 )
-from .structures import HomTripleSystem, grading_check, is_multiplicative, structure_parts
+from .structures import HomTripleSystem, grading_check, is_multiplicative
 from .suites import SUITE_NAMES, run_suite, suite
 
 
@@ -206,12 +206,11 @@ def cmd_info(args) -> int:
     print(f"convention: {document.convention.value}")
     print(f"dimension: {space.dim} (even {space.dim_even} | odd {space.dim_odd})")
     print("basis: " + ", ".join(f"{n}[{p}]" for n, p in space.basis))
-    binary, ternary, twist = structure_parts(structure)
-    for label, tensor in (("binary", binary), ("ternary", ternary)):
+    for label, tensor in (("binary", structure.binary), ("ternary", structure.ternary)):
         if tensor is not None:
             print(f"{label} constants: {len(tensor.constants)} nonzero")
             print(f"{label} grading: {'ok' if grading_check(tensor).passed else 'VIOLATED'}")
-    print(f"twist: {'identity' if twist.is_identity() else 'nontrivial'}")
+    print(f"twist: {'identity' if structure.twist.is_identity() else 'nontrivial'}")
     print(f"multiplicative: {'yes' if is_multiplicative(structure).passed else 'no'}")
     if document.maps:
         print("maps: " + ", ".join(sorted(document.maps)))

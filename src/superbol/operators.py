@@ -288,18 +288,6 @@ def _signs(signs: tuple[int, ...]) -> str:
     return "/".join(f"{s:+d}" for s in signs) or "none"
 
 
-def pair_swap_signs(jordan: HomSuperalgebra) -> tuple[int, ...]:
-    """Which signs s satisfy L(x,y) = s*(-1)^{|x||y|} L(y,x) on all basis pairs.
-
-    The antisymmetrized definition forces s = -1; the symmetric variant s = +1
-    can only hold when every pair operator vanishes.  Both candidates are
-    evaluated so the selection is an observed fact, not an assumption.
-    """
-    binding = lemma_binding(jordan)
-    candidates = [i for i in lemma_identities(untwisted=False) if i.name == "pair_operator_swap"]
-    return _holding([_lemma_report(binding, identity) for identity in candidates])
-
-
 def _additivity(jordan: HomSuperalgebra) -> CheckReport:
     """L(x+y) = L(x) + L(y) on basis pairs: a tautology of the bilinear extension."""
     space, star = jordan.space, jordan.binary

@@ -25,13 +25,14 @@ from .structures import (
     HomTripleSystem,
     TernaryStructure,
     grading_check,
-    structure_parts,
 )
 
 KIND_BINARY = "hom_superalgebra"
 KIND_TERNARY = "hom_triple"
 KIND_BOTH = "hom_binary_ternary"
-KINDS = (KIND_BINARY, KIND_TERNARY, KIND_BOTH)
+# The structure each kind of file loads as; its ``absent`` product list must be empty.
+_KIND_TYPES = {KIND_BINARY: HomSuperalgebra, KIND_TERNARY: HomTripleSystem, KIND_BOTH: HomBinaryTernary}
+KINDS = tuple(_KIND_TYPES)
 # "twist": "id" in a file names the identity map, so no map may be called "id".
 IDENTITY_TWIST = "id"
 
@@ -51,11 +52,9 @@ class AlgebraDocument:
 
     @property
     def kind(self) -> str:
-        if isinstance(self.structure, HomSuperalgebra):
+        if self.structure.ternary is None:
             return KIND_BINARY
-        if isinstance(self.structure, HomTripleSystem):
-            return KIND_TERNARY
-        return KIND_BOTH
+        return KIND_TERNARY if self.structure.binary is None else KIND_BOTH
 
     @property
     def space(self) -> SuperSpace:
@@ -180,21 +179,18 @@ def load(path) -> AlgebraDocument:
     except ValueError:
         raise AlgebraFileError(f"convention must be 'unit' or 'half', got {convention_ref!r}") from None
 
-    binary = None
-    ternary = None
-    if kind in (KIND_BINARY, KIND_BOTH):
-        binary = BinaryStructure(space, _parse_products(space, data.get("binary"), 2, "binary"))
-        _check_grading(binary, "binary")
-    if kind in (KIND_TERNARY, KIND_BOTH):
-        ternary = TernaryStructure(space, _parse_products(space, data.get("ternary"), 3, "ternary"))
-        _check_grading(ternary, "ternary")
-
-    if kind == KIND_BINARY:
-        structure: HomStructure = HomSuperalgebra(binary, twist)
-    elif kind == KIND_TERNARY:
-        structure = HomTripleSystem(ternary, twist)
-    else:
-        structure = HomBinaryTernary(binary, ternary, twist)
+    structure_type = _KIND_TYPES[kind]
+    products = []
+    for label, tensor_type in (("binary", BinaryStructure), ("ternary", TernaryStructure)):
+        entries = data.get(label)
+        if label == structure_type.absent:
+            if entries:
+                raise AlgebraFileError(f"{label} must be empty in a file of kind {kind}")
+            continue
+        product = tensor_type(space, _parse_products(space, entries, tensor_type.arity, label))
+        _check_grading(product, label)
+        products.append(product)
+    structure = structure_type(*products, twist)
 
     name = data.get("name", path.stem)
     if not isinstance(name, str):
@@ -231,7 +227,7 @@ def document_to_dict(document: AlgebraDocument) -> dict:
     if IDENTITY_TWIST in maps:
         raise AlgebraFileError(f"map name {IDENTITY_TWIST!r} is reserved for the identity twist")
 
-    binary, ternary, twist = structure_parts(structure)
+    twist = structure.twist
     if twist.is_identity():
         twist_ref = IDENTITY_TWIST
     else:
@@ -240,21 +236,16 @@ def document_to_dict(document: AlgebraDocument) -> dict:
             twist_ref = "twist"
             maps[twist_ref] = twist
 
-    data = {
+    return {
         "name": document.name,
         "kind": document.kind,
         "convention": document.convention.value,
         "basis": [{"name": n, "parity": p} for n, p in space.basis],
-        "binary": [],
-        "ternary": [],
+        "binary": [] if structure.binary is None else _product_rows(space, structure.binary.constants, "binary"),
+        "ternary": [] if structure.ternary is None else _product_rows(space, structure.ternary.constants, "ternary"),
         "maps": {name: _map_rows(name, maps[name]) for name in sorted(maps)},
         "twist": twist_ref,
     }
-    if binary is not None:
-        data["binary"] = _product_rows(space, binary.constants, "binary")
-    if ternary is not None:
-        data["ternary"] = _product_rows(space, ternary.constants, "ternary")
-    return data
 
 
 def save(document: AlgebraDocument, path) -> None:

@@ -2,10 +2,12 @@
 
 A product is a sparse tensor mapping basis tuples to elements; absent
 entries are zero products.  One base, :class:`ProductTensor`, holds either
-arity; ``BinaryStructure`` and ``TernaryStructure`` fix it at 2 and 3.  A
-``HomStructure`` adds a twist to a binary tensor, a ternary tensor or both
-(the three kinds a file holds); a ``Structure`` is one of those or a bare
-tensor.  The element-level products here (``bin_mul`` and ``tern_mul``, one
+arity; ``BinaryStructure`` and ``TernaryStructure`` fix it at 2 and 3.  One
+base, :class:`HomStructure`, holds a binary tensor, a ternary tensor or both
+with one even twist; ``HomSuperalgebra``, ``HomTripleSystem`` and
+``HomBinaryTernary`` (the three kinds a file holds) fix which product is
+absent.  A ``Structure`` is one of those or a bare tensor.  The
+element-level products here (``bin_mul`` and ``tern_mul``, one
 multilinear body; the twisted associator and the graded
 (anti)symmetrizations, which split their inputs into homogeneous components
 first) extend the tensors multilinearly.  They serve the general-element
@@ -100,63 +102,54 @@ class TernaryStructure(ProductTensor):
 
 
 @dataclass(frozen=True)
-class HomSuperalgebra:
-    """A binary structure together with an even twisting map."""
+class HomStructure:
+    """Products sharing one superspace and one even twist; a subclass fixes which product is absent."""
 
-    binary: BinaryStructure
+    absent: ClassVar[Optional[str]] = None  # the product a subclass fixes as None
+    binary: Optional[BinaryStructure]
+    ternary: Optional[TernaryStructure]
     twist: EvenMap
 
     def __post_init__(self) -> None:
-        if self.binary.space != self.twist.space:
-            raise ValueError("binary structure and twist live in different spaces")
+        for label in ("binary", "ternary"):
+            product = getattr(self, label)
+            if product is None and label != self.absent:
+                raise ValueError(f"a {type(self).__name__} needs a {label} product")
+            if product is not None and product.space != self.twist.space:
+                raise ValueError(f"the products and twist of a {type(self).__name__} must share one superspace")
 
     @property
     def space(self) -> SuperSpace:
-        return self.binary.space
+        return self.twist.space
 
-    @staticmethod
-    def untwisted(binary: BinaryStructure) -> "HomSuperalgebra":
-        return HomSuperalgebra(binary, EvenMap.identity(binary.space))
-
-
-@dataclass(frozen=True)
-class HomTripleSystem:
-    """A ternary structure together with an even twisting map."""
-
-    ternary: TernaryStructure
-    twist: EvenMap
-
-    def __post_init__(self) -> None:
-        if self.ternary.space != self.twist.space:
-            raise ValueError("ternary structure and twist live in different spaces")
-
-    @property
-    def space(self) -> SuperSpace:
-        return self.ternary.space
-
-    @staticmethod
-    def untwisted(ternary: TernaryStructure) -> "HomTripleSystem":
-        return HomTripleSystem(ternary, EvenMap.identity(ternary.space))
+    @classmethod
+    def untwisted(cls, *products: ProductTensor):
+        """The structure on ``products`` (in constructor order) with the identity twist."""
+        return cls(*products, EvenMap.identity(products[0].space))
 
 
-@dataclass(frozen=True)
-class HomBinaryTernary:
+class HomSuperalgebra(HomStructure):
+    """A binary structure together with an even twisting map; it has no ternary product."""
+
+    absent = "ternary"
+
+    def __init__(self, binary: BinaryStructure, twist: EvenMap):
+        super().__init__(binary, None, twist)
+
+
+class HomTripleSystem(HomStructure):
+    """A ternary structure together with an even twisting map; it has no binary product."""
+
+    absent = "binary"
+
+    def __init__(self, ternary: TernaryStructure, twist: EvenMap):
+        super().__init__(None, ternary, twist)
+
+
+class HomBinaryTernary(HomStructure):
     """A binary and a ternary structure sharing one space and one twist."""
 
-    binary: BinaryStructure
-    ternary: TernaryStructure
-    twist: EvenMap
 
-    def __post_init__(self) -> None:
-        if not (self.binary.space == self.ternary.space == self.twist.space):
-            raise ValueError("binary, ternary, and twist must share one superspace")
-
-    @property
-    def space(self) -> SuperSpace:
-        return self.binary.space
-
-
-HomStructure = Union[HomSuperalgebra, HomTripleSystem, HomBinaryTernary]
 Structure = Union[ProductTensor, HomStructure]
 
 
@@ -165,17 +158,12 @@ def structure_parts(
 ) -> tuple[Optional[BinaryStructure], Optional[TernaryStructure], EvenMap]:
     """The (binary, ternary, twist) of a structure; a missing product is None,
     and a bare structure-constant tensor carries the identity twist."""
-    if isinstance(structure, HomSuperalgebra):
-        return structure.binary, None, structure.twist
-    if isinstance(structure, HomTripleSystem):
-        return None, structure.ternary, structure.twist
-    if isinstance(structure, HomBinaryTernary):
+    if isinstance(structure, HomStructure):
         return structure.binary, structure.ternary, structure.twist
-    if isinstance(structure, BinaryStructure):
-        return structure, None, EvenMap.identity(structure.space)
-    if isinstance(structure, TernaryStructure):
-        return None, structure, EvenMap.identity(structure.space)
-    raise TypeError(f"not a binary or ternary structure: {type(structure).__name__}")
+    if not isinstance(structure, ProductTensor):
+        raise TypeError(f"not a binary or ternary structure: {type(structure).__name__}")
+    products = (structure, None) if structure.arity == 2 else (None, structure)
+    return (*products, EvenMap.identity(structure.space))
 
 
 def _multilinear(structure: ProductTensor, operands: tuple[Element, ...]) -> Element:
@@ -287,7 +275,7 @@ def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphi
         raise ValueError("candidate map lives in a different superspace")
 
     binary, ternary, twist = structure_parts(structure)
-    if not isinstance(structure, ProductTensor):
+    if isinstance(structure, HomStructure):
         checked += 1
         if compose(f, twist) != compose(twist, f):
             return CheckReport(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .core import Element, EvenMap, SuperSpace
 from .dsl import STAR, Identity, parse_identity
@@ -41,16 +41,19 @@ TWIST_IDENTITY = "identity"
 
 BIND_BINARY = "binary"
 BIND_TERNARY = "ternary"
-BIND_DERIVED_BRACKET = "derived_bracket"
-BIND_DERIVED_JORDAN = "derived_jordan"
 
 
 @dataclass(frozen=True)
 class SuiteSpec:
     name: str
     identities: tuple[Identity, ...]
-    bindings: tuple[tuple[str, str], ...]  # (symbol, source)
+    # (symbol, source): BIND_BINARY, BIND_TERNARY, or a derived product's identity
+    bindings: tuple[tuple[str, Union[str, Identity]], ...]
     twist_mode: str
+
+
+SUPERCOMMUTATOR = parse_identity("(x*y) - (-1)^{x.y} (y*x) = 0", name="supercommutator")
+SUPER_JORDAN = parse_identity("(x*y) + (-1)^{x.y} (y*x) = 0", name="super_jordan")
 
 
 def _ids(*pairs: tuple[str, str]) -> tuple[Identity, ...]:
@@ -251,8 +254,8 @@ _STAR_ONLY = (("*", BIND_BINARY),)
 _BOL_BINDINGS = (("[]", BIND_BINARY), ("{}", BIND_TERNARY))
 _TERNARY_ONLY = (("{}", BIND_TERNARY),)
 _ANGLE_ONLY = (("<>", BIND_TERNARY),)
-_STAR_BRACKET = (("*", BIND_BINARY), ("[]", BIND_DERIVED_BRACKET))
-_STAR_BRACKET_JORDAN = _STAR_BRACKET + (("o", BIND_DERIVED_JORDAN),)
+_STAR_BRACKET = (("*", BIND_BINARY), ("[]", SUPERCOMMUTATOR))
+_STAR_BRACKET_JORDAN = _STAR_BRACKET + (("o", SUPER_JORDAN),)
 
 _SUITES: dict[str, SuiteSpec] = {
     spec.name: spec
@@ -289,10 +292,6 @@ def suite(name: str) -> SuiteSpec:
     return _SUITES[key]
 
 
-SUPERCOMMUTATOR = parse_identity("(x*y) - (-1)^{x.y} (y*x) = 0", name="supercommutator")
-SUPER_JORDAN = parse_identity("(x*y) + (-1)^{x.y} (y*x) = 0", name="super_jordan")
-
-
 def tabulated(
     identity: Identity, ops: Mapping[str, OpStructure], twist: Optional[EvenMap] = None
 ) -> dict[tuple[int, ...], Element]:
@@ -318,24 +317,12 @@ def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
     space: SuperSpace = structure.space
     ops = {}
     for symbol, source in spec.bindings:
-        if source == BIND_BINARY:
-            if binary is None:
-                raise ValueError(f"suite {spec.name} needs a binary operation; structure has none")
-            ops[symbol] = binary
-        elif source == BIND_TERNARY:
-            if ternary is None:
-                raise ValueError(f"suite {spec.name} needs a ternary operation; structure has none")
-            ops[symbol] = ternary
-        elif source == BIND_DERIVED_BRACKET:
-            if binary is None:
-                raise ValueError(f"suite {spec.name} derives a bracket from a binary operation; structure has none")
-            ops[symbol] = graded_product(binary, Convention.HALF, SUPERCOMMUTATOR)
-        elif source == BIND_DERIVED_JORDAN:
-            if binary is None:
-                raise ValueError(f"suite {spec.name} derives a symmetrized product; structure has none")
-            ops[symbol] = graded_product(binary, Convention.HALF, SUPER_JORDAN)
-        else:  # pragma: no cover - registry is static
-            raise AssertionError(source)
+        derived = isinstance(source, Identity)
+        label = BIND_BINARY if derived else source
+        product = binary if label == BIND_BINARY else ternary
+        if product is None:
+            raise ValueError(f"suite {spec.name} needs a {label} operation; structure has none")
+        ops[symbol] = graded_product(product, Convention.HALF, source) if derived else product
     bound_twist = EvenMap.identity(space) if spec.twist_mode == TWIST_IDENTITY else twist
     return StructureBinding(space=space, ops=ops, twist=bound_twist)
 

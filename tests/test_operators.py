@@ -15,7 +15,6 @@ from superbol.operators import (
     lemma_binding,
     lemma_identities,
     mul,
-    pair_swap_signs,
     verify_operator_lemmas,
 )
 from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, tern_mul
@@ -62,13 +61,17 @@ def test_pair_operator_vanishes_on_even_diagonal(plus51):
         assert value(binding, L2(x, y), x="i", y="i", t=name).is_zero()
 
 
-def test_pair_operator_swap_antisymmetric(plus51):
-    assert pair_swap_signs(plus51) == (-1,)
+def _pair_swap(report):
+    return next(check for check in report.reports if check.name == "pair_operator_swap")
+
+
+def test_pair_operator_swap_antisymmetric(plus51_lemmas):
+    assert _pair_swap(plus51_lemmas).detail == "holds with sign -1; asserting -1"
 
 
 def test_pair_swap_both_signs_on_zero_algebra():
     zero = HomSuperalgebra.untwisted(BinaryStructure.zero(SPACE_1_2))
-    assert pair_swap_signs(zero) == (+1, -1)
+    assert _pair_swap(verify_operator_lemmas(zero)).detail == "holds with sign +1/-1; asserting -1"
 
 
 def test_pair_action_matches_derived_triple(plus51):

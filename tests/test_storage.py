@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import graded_structures
 from superbol.catalog import SPACE_1_2, example_5_1_beta, example_document
+from superbol.cli import main
 from superbol.core import Element
 from superbol.storage import AlgebraDocument, AlgebraFileError, document_to_dict, load, save
 from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, HomTripleSystem
@@ -139,6 +140,22 @@ def test_bad_convention_rejected(tmp_path):
 def test_mistyped_field_rejected(tmp_path, payload, match):
     with pytest.raises(AlgebraFileError, match=match):
         load(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "payload,match",
+    [
+        (dict(BASE, kind="hom_triple", binary=[["i", "i", "i", "5"]]), "binary.*hom_triple"),
+        (dict(BASE, ternary=[["i", "i", "i", "i", "nonsense"]]), "ternary.*hom_superalgebra"),
+    ],
+    ids=["binary-rows-in-a-triple-file", "ternary-rows-in-a-superalgebra-file"],
+)
+def test_product_list_the_kind_does_not_hold_is_rejected(tmp_path, capsys, payload, match):
+    path = _write(tmp_path, payload)
+    with pytest.raises(AlgebraFileError, match=match):
+        load(path)
+    assert main(["info", str(path)]) == 2
+    assert "must be empty" in capsys.readouterr().err
 
 
 def test_invalid_json_reports_line(tmp_path):

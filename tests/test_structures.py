@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
-from superbol.catalog import SPACE_1_2, example_5_1_beta
+from superbol.catalog import SPACE_1_2, example_3_1, example_5_1_beta, example_5_1_bol
 from superbol.core import EvenMap, parity_of
+from superbol.storage import AlgebraDocument, load, save
 from superbol.structures import (
     BinaryStructure,
     Convention,
     TernaryStructure,
+    HomBinaryTernary,
     HomSuperalgebra,
+    HomTripleSystem,
     bin_mul,
     grading_check,
     hom_associator,
@@ -51,6 +54,37 @@ def test_key_of_the_wrong_length_raises(kind, key):
         kind(SPACE_1_2, {key: b("i")})
     with pytest.raises(ValueError):
         kind.from_table(SPACE_1_2, {tuple("i" for _ in key): {"i": 1}})
+
+
+@pytest.mark.parametrize(
+    "kind_type,kind,present",
+    [
+        (HomSuperalgebra, "hom_superalgebra", ("binary",)),
+        (HomTripleSystem, "hom_triple", ("ternary",)),
+        (HomBinaryTernary, "hom_binary_ternary", ("binary", "ternary")),
+    ],
+)
+def test_twisted_structure_kinds_fix_the_absent_product(tmp_path, kind_type, kind, present):
+    bol, other, beta = example_5_1_bol(), example_3_1(), example_5_1_beta(2, 0)
+    products = {label: getattr(bol, label) for label in present}
+    structure = kind_type(*products.values(), beta)
+    assert structure == kind_type(**products, twist=beta)
+    assert structure.space == SPACE_1_2
+    for label in ("binary", "ternary"):
+        assert getattr(structure, label) is products.get(label)
+    with pytest.raises(ValueError, match="share one superspace"):
+        kind_type(*(getattr(other, label) for label in present), beta)
+    with pytest.raises(ValueError, match=f"needs a {present[0]} product"):
+        kind_type(None, *list(products.values())[1:], beta)
+    untwisted = kind_type.untwisted(*products.values())
+    assert type(untwisted) is kind_type and untwisted.twist.is_identity()
+    assert untwisted == kind_type(*products.values(), EvenMap.identity(SPACE_1_2))
+
+    document = AlgebraDocument(name="t", structure=structure, maps={"beta": beta})
+    assert document.kind == kind
+    save(document, tmp_path / "t.json")
+    loaded = load(tmp_path / "t.json")
+    assert loaded.kind == kind and type(loaded.structure) is kind_type and loaded.structure == structure
 
 
 def test_hom_associator_values(ex51):
