@@ -26,11 +26,8 @@ from .structures import (
     TernaryStructure,
     bin_mul,
     grading_check,
-    hom_associator,
     is_even_self_morphism,
     is_multiplicative,
-    super_jordan,
-    supercommutator,
     tern_mul,
 )
 from .suites import SUITE_NAMES, SuiteSpec, binding_for, run_suite, suite

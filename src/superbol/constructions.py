@@ -2,15 +2,15 @@
 
 Every derived product is defined once, as a DSL term sum, and its structure
 constants are tabulated by the engine on all basis tuples
-(:func:`suites.tabulated`); the element-level products in ``structures`` are
-only the tests' references for them.  The bilinear-form triple is such a sum
-over the pairing tensor P(x,y,z) = <x|y>z.  Twists and derived structures
-instead compose the stored constants with powers of a self-morphism or of
-the twist, one body for either arity.  Every builder verifies its
-preconditions by running the relevant identity suites before constructing
-(pass ``checked=False`` to skip, mirroring the CLI's ``--unchecked``).  A
-failed precondition raises :class:`ConstructionError` carrying the stage name
-and the failing report.
+(:func:`suites.tabulated`); no element-level copy of them exists.  The
+bilinear-form triple is such a sum over the pairing tensor
+P(x,y,z) = <x|y>z, read straight from the Gram matrix.  Twists and derived
+structures instead compose the stored constants with powers of a
+self-morphism or of the twist, one body for either arity.  Every builder
+verifies its preconditions by running the relevant identity suites before
+constructing (pass ``checked=False`` to skip, mirroring the CLI's
+``--unchecked``).  A failed precondition raises :class:`ConstructionError`
+carrying the stage name and the failing report.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Element, EvenMap, Scalar, SuperSpace, apply_map, compose, parity_of, power, rational
+from .core import Element, EvenMap, Scalar, SuperSpace, apply_map, compose, power, rational
 from .dsl import ANGLE, BRACES, STAR, build_identity, parse_identity
 from .reports import CheckReport
 from .structures import (
@@ -30,7 +30,6 @@ from .structures import (
     HomTripleSystem,
     ProductTensor,
     TernaryStructure,
-    bin_mul,
     is_even_self_morphism,
     is_multiplicative,
 )
@@ -115,17 +114,6 @@ def bol_from_right_alternative(
         binary=minus_algebra(algebra, conv).binary,
         ternary=TernaryStructure(algebra.space, tabulated(_BOL_TERNARY, {STAR: plus.binary})),
         twist=EvenMap.identity(algebra.space),
-    )
-
-
-def triple_element(jordan: HomSuperalgebra, x: Element, y: Element, z: Element) -> Element:
-    """(xy)a(z) + a(x)(yz) - (-1)^{|x||y|} a(y)(xz) in a twisted Jordan product."""
-    a, star = jordan.twist, jordan.binary
-    sign = -1 if parity_of(x) == 1 and parity_of(y) == 1 else 1
-    return (
-        bin_mul(star, bin_mul(star, x, y), apply_map(a, z))
-        + bin_mul(star, apply_map(a, x), bin_mul(star, y, z))
-        - bin_mul(star, apply_map(a, y), bin_mul(star, x, z)).scale(sign)
     )
 
 
@@ -274,21 +262,6 @@ class BilinearForm:
                 sign = -1 if space.parity(i) == 1 and space.parity(j) == 1 else 1
                 rows[j][i] = sign * rows[i][j]
         return BilinearForm(space, tuple(tuple(row) for row in rows))
-
-    def pairing(self, x: Element, y: Element) -> Fraction:
-        total = Fraction(0)
-        for i, ci in x.coords.items():
-            for j, cj in y.coords.items():
-                total += ci * cj * self.gram[i][j]
-        return total
-
-    def is_preserved_by(self, beta: EvenMap) -> bool:
-        """True iff pairing(beta x, beta y) = pairing(x, y) on all basis pairs."""
-        for i, j in itertools.product(range(self.space.dim), repeat=2):
-            x, y = self.space.basis_vector(i), self.space.basis_vector(j)
-            if self.pairing(apply_map(beta, x), apply_map(beta, y)) != self.gram[i][j]:
-                return False
-        return True
 
 
 def bilinear_form_triple(form: BilinearForm, lam: Scalar = 1) -> HomTripleSystem:

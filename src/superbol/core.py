@@ -160,27 +160,12 @@ class Element:
 
     __rmul__ = __mul__
 
-    def even_part(self) -> "Element":
-        return Element(
-            self.space,
-            {i: c for i, c in self.coords.items() if self.space.parity(i) == EVEN},
-        )
-
-    def odd_part(self) -> "Element":
-        return Element(
-            self.space,
-            {i: c for i, c in self.coords.items() if self.space.parity(i) == ODD},
-        )
-
     def homogeneous_parts(self) -> list[tuple[int, "Element"]]:
         """Nonzero (parity, component) pairs, even first."""
-        parts = []
-        even, odd = self.even_part(), self.odd_part()
-        if not even.is_zero():
-            parts.append((EVEN, even))
-        if not odd.is_zero():
-            parts.append((ODD, odd))
-        return parts
+        parts: dict[int, dict[int, Fraction]] = {}
+        for index, value in self.coords.items():
+            parts.setdefault(self.space.parity(index), {})[index] = value
+        return [(parity, Element(self.space, parts[parity])) for parity in (EVEN, ODD) if parity in parts]
 
     def __repr__(self) -> str:
         return f"Element({self})"

@@ -35,6 +35,8 @@ _KIND_TYPES = {KIND_BINARY: HomSuperalgebra, KIND_TERNARY: HomTripleSystem, KIND
 KINDS = tuple(_KIND_TYPES)
 # "twist": "id" in a file names the identity map, so no map may be called "id".
 IDENTITY_TWIST = "id"
+# The top-level keys a file may hold; ``save`` writes exactly these.
+KEYS = ("name", "kind", "convention", "basis", "binary", "ternary", "maps", "twist")
 
 
 class AlgebraFileError(ValueError):
@@ -74,8 +76,10 @@ def _rat(text: str, where: str) -> Fraction:
 
 
 def _index(space: SuperSpace, name: str, where: str) -> int:
+    if not isinstance(name, str):
+        raise AlgebraFileError(f"{where}: basis name must be a string, got {name!r}")
     try:
-        return space.index(str(name))
+        return space.index(name)
     except KeyError:
         raise AlgebraFileError(f"{where}: unknown basis name {name!r}") from None
 
@@ -133,6 +137,11 @@ def load(path) -> AlgebraDocument:
         raise AlgebraFileError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise AlgebraFileError(f"{path}: top level must be an object")
+    unknown = [key for key in data if key not in KEYS]
+    if unknown:
+        raise AlgebraFileError(
+            f"unknown top-level key {', '.join(map(repr, unknown))}; allowed keys: {', '.join(KEYS)}"
+        )
 
     kind = data.get("kind")
     if kind not in KINDS:

@@ -6,14 +6,12 @@ arity; ``BinaryStructure`` and ``TernaryStructure`` fix it at 2 and 3.  One
 base, :class:`HomStructure`, holds a binary tensor, a ternary tensor or both
 with one even twist; ``HomSuperalgebra``, ``HomTripleSystem`` and
 ``HomBinaryTernary`` (the three kinds a file holds) fix which product is
-absent.  A ``Structure`` is one of those or a bare tensor.  The
-element-level products here (``bin_mul`` and ``tern_mul``, one
-multilinear body; the twisted associator and the graded
-(anti)symmetrizations, which split their inputs into homogeneous components
-first) extend the tensors multilinearly.  They serve the general-element
-oracle and the tests' references; derived tables are built by the engine
-from DSL term sums, and the self-morphism laws below are identities the
-engine checks.
+absent.  A ``Structure`` is one of those or a bare tensor.  The only
+element-level products are ``bin_mul`` and ``tern_mul``, one multilinear
+body that extends a tensor to arbitrary elements; they serve the
+general-element oracle.  Derived tables are built by the engine from DSL
+term sums, and the self-morphism laws below are identities the engine
+checks.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .core import (
     EvenMap,
     Scalar,
     SuperSpace,
-    apply_map,
     compose,
     is_even_matrix,
     parity_of,
@@ -191,34 +188,6 @@ def bin_mul(structure: BinaryStructure, x: Element, y: Element) -> Element:
 def tern_mul(structure: TernaryStructure, x: Element, y: Element, z: Element) -> Element:
     """Trilinear extension of the stored structure constants."""
     return _multilinear(structure, (x, y, z))
-
-
-def hom_associator(algebra: HomSuperalgebra, x: Element, y: Element, z: Element) -> Element:
-    """(x*y)*a(z) - a(x)*(y*z); the ordinary associator when the twist is the identity."""
-    a, star = algebra.twist, algebra.binary
-    return bin_mul(star, bin_mul(star, x, y), apply_map(a, z)) - bin_mul(star, apply_map(a, x), bin_mul(star, y, z))
-
-
-def _signed_symmetrization(
-    algebra: HomSuperalgebra, conv: Convention, x: Element, y: Element, flip: int
-) -> Element:
-    """factor * (x*y + flip*(-1)^{|x||y|} y*x), extended over homogeneous parts."""
-    star, out = algebra.binary, algebra.space.zero()
-    for px, xh in x.homogeneous_parts():
-        for py, yh in y.homogeneous_parts():
-            sign = Fraction(flip) * (-1 if (px * py) % 2 else 1)
-            out = out + (bin_mul(star, xh, yh) + bin_mul(star, yh, xh).scale(sign)).scale(conv.factor)
-    return out
-
-
-def super_jordan(algebra: HomSuperalgebra, conv: Convention, x: Element, y: Element) -> Element:
-    """Graded symmetrized product; supercommutative in its two arguments."""
-    return _signed_symmetrization(algebra, conv, x, y, +1)
-
-
-def supercommutator(algebra: HomSuperalgebra, conv: Convention, x: Element, y: Element) -> Element:
-    """Graded antisymmetrized product; superskewsymmetric in its two arguments."""
-    return _signed_symmetrization(algebra, conv, x, y, -1)
 
 
 def grading_check(structure: ProductTensor) -> CheckReport:

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from conftest import make_grassmann, oracle_agreement
 from superbol import builtin_example
 from superbol.catalog import (
@@ -54,8 +55,6 @@ from superbol.structures import (
     HomBinaryTernary,
     HomSuperalgebra,
     TernaryStructure,
-    hom_associator,
-    supercommutator,
     tern_mul,
 )
 from superbol.suites import binding_for, run_suite, suite
@@ -244,14 +243,14 @@ def test_criterion_08_dual_path_ternary_agreement():
     # second closed form of the same bracket, evaluated independently:
     # 4[[x,y],z] - 2(-1)^{|z|(|x|+|y|)} as(z,x,y) with half-normalized brackets
     def half_bracket(x, y):
-        return supercommutator(EX51, HALF, x, y)
+        return reference.graded(EX51.binary, HALF.factor, -1, x, y)
 
     closed_ok = True
     for combo in itertools.product(range(3), repeat=3):
         x, y, z = (SPACE_1_2.basis_vector(c) for c in combo)
         px, py, pz = (SPACE_1_2.parity(c) for c in combo)
         sign = -1 if (pz * (px + py)) % 2 else 1
-        alternate = half_bracket(half_bracket(x, y), z).scale(4) - hom_associator(
+        alternate = half_bracket(half_bracket(x, y), z).scale(4) - reference.associator(
             EX51, z, x, y
         ).scale(2 * sign)
         if tern_mul(direct.ternary, x, y, z) != alternate:

@@ -1,14 +1,16 @@
-"""The benchmark's tracer (bench/spans.py) resolves every name it wraps and
-counts the element-level products the oracle calls."""
+"""The benchmark's tracer (bench/spans.py) resolves every name it wraps,
+counts the element-level products the oracle calls, and sees the
+constructions the CLI runs."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from superbol import core, engine, structures
-from superbol.catalog import SPACE_1_2, example_5_1_bol
+from superbol import cli, core, engine, structures
+from superbol.catalog import SPACE_1_2, example_5_1_bol, example_document
 from superbol.dsl import parse_identity
 from superbol.engine import StructureBinding, evaluate_on_elements
+from superbol.storage import save
 
 _SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -43,3 +45,18 @@ def test_recorder_counts_both_oracle_products_and_uninstalls():
     assert recorder.counters["structures.bin_mul.calls"] > 0
     assert recorder.counters["structures.tern_mul.calls"] > 0
     assert (structures.bin_mul, structures.tern_mul, engine.bin_mul, engine.tern_mul, core.Element.__init__) == originals
+
+
+def test_recorder_sees_the_construction_a_cli_command_builds(tmp_path):
+    spans = _spans_module()
+    source = tmp_path / "ex51.json"
+    save(example_document("example_5_1"), source)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["construct", "bol", str(source), "-o", str(tmp_path / "bol.json")]) == 0
+    finally:
+        recorder.uninstall()
+    by_name = {span["name"]: span for span in recorder.spans}
+    construction = by_name["constructions.bol_from_right_alternative"]
+    assert recorder.spans[construction["parent"]]["name"] == "cli.main"

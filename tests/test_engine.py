@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 
+import reference
 from conftest import graded_structures, oracle_agreement, random_element
+from reference import koszul
 from superbol.catalog import SPACE_1_2, builtin_example, example_5_1_beta
 from superbol.constructions import (
     bol_from_right_alternative,
@@ -16,10 +18,9 @@ from superbol.constructions import (
     lie_triple_from_jordan_triple,
     minus_algebra,
     plus_algebra,
-    triple_element,
 )
 from superbol import core, engine
-from superbol.core import EvenMap, SuperSpace, parity_of
+from superbol.core import EvenMap, SuperSpace
 from superbol.dsl import parse_identity
 from superbol.engine import (
     StructureBinding,
@@ -38,12 +39,9 @@ from superbol.structures import (
     HomTripleSystem,
     TernaryStructure,
     bin_mul,
-    hom_associator,
     is_even_self_morphism,
     is_multiplicative,
     structure_parts,
-    super_jordan,
-    supercommutator,
     tern_mul,
 )
 from superbol.suites import binding_for, run_suite, suite
@@ -237,6 +235,19 @@ def test_oracle_shares_nothing_with_the_kernel():
         assert not names & kernel, (name, names & kernel)
 
 
+def test_references_import_only_core_and_structures():
+    """The tests' element-level references reach the library only through
+    ``superbol.core`` and ``superbol.structures``, so no engine, suite or
+    construction code is checked against itself."""
+    modules = set()
+    for node in ast.walk(ast.parse(inspect.getsource(reference))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules and modules <= {"superbol.core", "superbol.structures"}, modules
+
+
 # -- the kernel against the element-level evaluation, on random structures ----
 
 _DIFFERENTIAL_SUITES = ("HOM_BOL", "RIGHT_HOM_ALT", "HOM_JORDAN", "EQ_7_10")
@@ -337,11 +348,6 @@ def _table(space, arity, product):
     return table
 
 
-def _sign(x, y):
-    """(-1)^{|x||y|} for homogeneous x and y."""
-    return -1 if parity_of(x) == 1 and parity_of(y) == 1 else 1
-
-
 def _morphism_reference(structure, f, preamble):
     """A lexicographic walk of the element-level evaluation over the two
     morphism laws: (passed, counterexample, residue, tuples_checked)."""
@@ -373,30 +379,32 @@ def test_kernel_built_products_match_element_references(structure):
         minus = minus_algebra(twisted, conv)
         plus = plus_algebra(twisted, conv)
         assert minus.twist == plus.twist == twist
-        jordan = _table(space, 2, lambda x, y: super_jordan(untwisted, conv, x, y))
-        assert minus.binary.constants == _table(space, 2, lambda x, y: supercommutator(untwisted, conv, x, y))
+        jordan = _table(space, 2, lambda x, y: reference.graded(binary, conv.factor, 1, x, y))
+        assert minus.binary.constants == _table(space, 2, lambda x, y: reference.graded(binary, conv.factor, -1, x, y))
         assert plus.binary.constants == jordan
 
         bol = bol_from_right_alternative(untwisted, conv, checked=False)
         reference_plus = HomSuperalgebra.untwisted(BinaryStructure(space, jordan))
         assert bol.binary.constants == minus.binary.constants
         assert bol.ternary.constants == _table(
-            space, 3, lambda x, y, z: hom_associator(reference_plus, y, z, x).scale(_sign(x, y) * _sign(x, z))
+            space,
+            3,
+            lambda x, y, z: reference.associator(reference_plus, y, z, x).scale(koszul(x, y) * koszul(x, z)),
         )
 
     def lts_bracket(x, y, z):
-        return (bin_mul(binary, x, bin_mul(binary, y, z)) - bin_mul(binary, y, bin_mul(binary, x, z)).scale(_sign(x, y))).scale(2)
+        return (bin_mul(binary, x, bin_mul(binary, y, z)) - bin_mul(binary, y, bin_mul(binary, x, z)).scale(koszul(x, y))).scale(2)
 
     assert jordan_lts_bracket(untwisted, checked=False).constants == _table(space, 3, lts_bracket)
 
     triple = hom_jordan_triple(twisted, checked=False)
-    assert triple.ternary.constants == _table(space, 3, lambda x, y, z: triple_element(twisted, x, y, z))
+    assert triple.ternary.constants == _table(space, 3, lambda x, y, z: reference.jordan_triple(twisted, x, y, z))
 
     system = HomTripleSystem(ternary, twist)
     lie = lie_triple_from_jordan_triple(system, checked=False)
     assert lie.twist == twist
     assert lie.ternary.constants == _table(
-        space, 3, lambda x, y, z: tern_mul(ternary, x, y, z) - tern_mul(ternary, y, x, z).scale(_sign(x, y))
+        space, 3, lambda x, y, z: tern_mul(ternary, x, y, z) - tern_mul(ternary, y, x, z).scale(koszul(x, y))
     )
 
 

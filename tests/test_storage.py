@@ -158,6 +158,43 @@ def test_product_list_the_kind_does_not_hold_is_rejected(tmp_path, capsys, paylo
     assert "must be empty" in capsys.readouterr().err
 
 
+def _renamed(document_name, key, typo):
+    """A shipped document's file with one top-level key misspelled."""
+    data = document_to_dict(example_document(document_name))
+    return {typo if name == key else name: value for name, value in data.items()}
+
+
+@pytest.mark.parametrize(
+    "payload,typo",
+    [
+        (_renamed("example_5_1_hombol(2,3)", "twist", "twsit"), "twsit"),
+        (_renamed("example_5_1", "convention", "covention") | {"covention": "half"}, "covention"),
+        (_renamed("example_5_1_bol", "binary", "binray"), "binray"),
+    ],
+    ids=["twsit", "covention", "binray"],
+)
+def test_unknown_top_level_key_is_rejected(tmp_path, capsys, payload, typo):
+    path = _write(tmp_path, payload)
+    allowed = "allowed keys: name, kind, convention, basis, binary, ternary, maps, twist"
+    with pytest.raises(AlgebraFileError, match=f"unknown top-level key '{typo}'; {allowed}"):
+        load(path)
+    assert main(["check", str(path), "--suite", "HOM_BOL"]) == 2
+    assert f"'{typo}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "basis_name,row",
+    [("True", [True, True, True, "1"]), ("1", [1, "1", "1", "1"])],
+    ids=["json-true", "json-integer"],
+)
+def test_basis_name_in_a_product_row_must_be_a_string(tmp_path, capsys, basis_name, row):
+    path = _write(tmp_path, dict(BASE, basis=[{"name": basis_name, "parity": 0}], binary=[row]))
+    with pytest.raises(AlgebraFileError, match=r"binary\[0\]: basis name must be a string"):
+        load(path)
+    assert main(["info", str(path)]) == 2
+    assert "binary[0]" in capsys.readouterr().err
+
+
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
