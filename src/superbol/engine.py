@@ -11,12 +11,18 @@ node holding a table of its nonzero values only, built once by joining its
 argument tables through an index of the tensor's support (by left index for
 a binary product, by (i, j) pair for a ternary one) and through an index of
 the argument tables by component; sub-terms equal up to renaming share one
-node.  The top node of each term is not kept: it is computed in chunks, one
-per basis index of the identity's first variable, and the chunks are visited
-in order, so a failing check stops at the first chunk with a nonzero
-residue and reports that chunk's least failing tuple.  A tuple outside the
-support of every term has residue zero, so visiting only the supports
-decides every one of the d**n tuples and the count stays exact.
+node.  The top node of each term is never materialized.  The residue is
+built in chunks, one per basis index of the identity's first variable: each
+term's top node accumulates its signed, weighted values straight into the
+chunk under the identity's variable order, through the one ``accumulate``
+loop of its node kind (a product joins in place, a twist maps its argument's
+rows, an associator passes signed multiples to its two sides, and a node
+whose table is already kept walks it); the same loops, at unit weight, build
+the kept tables.  The chunks are visited in order, so a failing check stops
+at the first chunk with a nonzero residue and reports that chunk's least
+failing tuple.  A tuple outside the support of every term has residue zero,
+so visiting only the supports decides every one of the d**n tuples and the
+count stays exact.
 
 Arithmetic is integer.  Tensors and twist columns are stored as integers
 times the lcm of their denominators; a node's values are its true values
@@ -204,19 +210,6 @@ def _integral(coords: Mapping[int, Fraction], scale: int) -> dict[int, int]:
     return {target: c.numerator * (scale // c.denominator) for target, c in coords.items()}
 
 
-def _nonzero(part: dict, prefix: tuple = (), out: Optional[dict] = None) -> dict:
-    """``out`` (a new dict by default) with each nonzero vector of ``part``
-    added under ``prefix`` + its key, its zero entries dropped."""
-    out = {} if out is None else out
-    for key, vector in part.items():
-        if 0 in vector.values():
-            vector = {target: c for target, c in vector.items() if c}
-            if not vector:
-                continue
-        out[prefix + key] = vector
-    return out
-
-
 def _components(rows: Mapping[tuple, dict[int, int]]) -> dict[int, list[tuple[tuple, int]]]:
     """``rows`` indexed by component: basis index -> [(key, coefficient)]."""
     index: dict[int, list[tuple[tuple, int]]] = {}
@@ -226,16 +219,25 @@ def _components(rows: Mapping[tuple, dict[int, int]]) -> dict[int, list[tuple[tu
     return index
 
 
+# Unit weights, an empty sign key and the identity reorder: what :meth:`_Node._join`
+# passes to ``accumulate`` to build a node's own table.
+_UNIT = ({(): 1}, itemgetter(slice(0)), itemgetter(slice(None)))
+
+
 class _Node:
     """A compiled sub-term, keyed by the tuple of basis indices of its own
     ``width`` variables in traversal order.
 
-    ``rows(fix)`` returns the sub-term's nonzero values, restricted to the keys
-    with basis index ``fix[1]`` at position ``fix[0]`` unless ``fix`` is None;
-    ``table()`` joins all of them once and keeps them.  A product reads its
-    arguments through their kept tables, while a twist or an associator passes
-    ``fix`` on to its arguments, so the top node of a term is computed afresh,
-    one restriction at a time, and never kept on its own account.
+    ``accumulate(fix, sink, weights, signed, reorder, m)`` adds ``m`` times
+    the node's values at the keys with basis index ``fix[1]`` at position
+    ``fix[0]`` (all keys if ``fix`` is None), each weighted by
+    ``weights[signed(key)]``, into ``sink`` under ``reorder(key)``.  A node
+    whose table is kept walks it; otherwise each kind has one loop that
+    computes its values straight into the sink: a product joins its
+    arguments' kept tables, a twist maps its argument's rows through its
+    columns, and an associator passes its sides signed multiples.  So a
+    term's top node is never materialized.  ``table()`` builds the kept table
+    with that same loop, into a fresh dict at unit weight, and keeps it.
     """
 
     __slots__ = ("scale", "width", "_table", "_components", "_slices")
@@ -271,6 +273,31 @@ class _Node:
         return self._table if fix is None else self.at(*fix)
 
     def _join(self, fix: Optional[tuple[int, int]]) -> dict[tuple, dict[int, int]]:
+        """The node's nonzero values at ``fix``, accumulated afresh."""
+        sink: dict[tuple, dict[int, int]] = {}
+        self.accumulate(fix, sink, *_UNIT)
+        out = {}
+        for key, vector in sink.items():
+            if 0 in vector.values():
+                vector = {target: c for target, c in vector.items() if c}
+            if vector:
+                out[key] = vector
+        return out
+
+    def accumulate(self, fix, sink: dict, weights: Mapping, signed, reorder, m: int = 1) -> None:
+        if self._table is None:
+            return self._accumulate(fix, sink, weights, signed, reorder, m)
+        for key, vector in self.rows(fix).items():
+            w = m * weights[signed(key)]
+            indices = reorder(key)
+            acc = sink.get(indices)
+            if acc is None:
+                sink[indices] = {target: w * c for target, c in vector.items()}
+            else:
+                for target, c in vector.items():
+                    acc[target] = acc.get(target, 0) + w * c
+
+    def _accumulate(self, fix, sink, weights, signed, reorder, m) -> None:
         raise NotImplementedError
 
 
@@ -294,16 +321,15 @@ class _Twisted(_Node):
         super().__init__(scale * arg.scale, arg.width)
         self.columns, self.arg = columns, arg
 
-    def _join(self, fix):
+    def _accumulate(self, fix, sink, weights, signed, reorder, m):
         columns = self.columns
-        out: dict[tuple, dict[int, int]] = {}
         for key, vector in self.arg.rows(fix).items():
-            image: dict[int, int] = {}
+            w = m * weights[signed(key)]
+            acc = sink.setdefault(reorder(key), {})
             for source, c in vector.items():
+                wc = w * c
                 for target, entry in columns[source].items():
-                    image[target] = image.get(target, 0) + c * entry
-            out[key] = image
-        return _nonzero(out)
+                    acc[target] = acc.get(target, 0) + wc * entry
 
 
 class _Product(_Node):
@@ -338,24 +364,23 @@ class _Binary(_Product):
 
     __slots__ = ()
 
-    def _join(self, fix):
+    def _accumulate(self, fix, sink, weights, signed, reorder, m):
         lefts, (rights,) = self._arguments(fix)
         support = self.support
-        out: dict[tuple, dict[int, int]] = {}
         for kl, a in lefts.items():
-            part: dict[tuple, dict[int, int]] = {}
             for i, ca in a.items():
+                ca *= m
                 for j, row in support.get(i, ()):
                     for kr, cb in rights.get(j, ()):
-                        c = ca * cb
-                        acc = part.get(kr)
+                        key = kl + kr
+                        c = ca * cb * weights[signed(key)]
+                        indices = reorder(key)
+                        acc = sink.get(indices)
                         if acc is None:
-                            part[kr] = {target: c * entry for target, entry in row.items()}
+                            sink[indices] = {target: c * entry for target, entry in row.items()}
                         else:
                             for target, entry in row.items():
                                 acc[target] = acc.get(target, 0) + c * entry
-            _nonzero(part, kl, out)
-        return out
 
 
 class _Ternary(_Product):
@@ -363,13 +388,12 @@ class _Ternary(_Product):
 
     __slots__ = ()
 
-    def _join(self, fix):
+    def _accumulate(self, fix, sink, weights, signed, reorder, m):
         firsts, (seconds, thirds) = self._arguments(fix)
         support = self.support
-        out: dict[tuple, dict[int, int]] = {}
         for ka, a in firsts.items():
-            part: dict[tuple, dict[int, int]] = {}
             for i, ca in a.items():
+                ca *= m
                 for j, pairs in support.get(i, ()):
                     bs = seconds.get(j)
                     if bs is None:
@@ -379,18 +403,17 @@ class _Ternary(_Product):
                         if cs is None:
                             continue
                         for kb, cb in bs:
-                            cab = ca * cb
+                            cab, kab = ca * cb, ka + kb
                             for kc, cc in cs:
-                                c = cab * cc
-                                key = kb + kc
-                                acc = part.get(key)
+                                key = kab + kc
+                                c = cab * cc * weights[signed(key)]
+                                indices = reorder(key)
+                                acc = sink.get(indices)
                                 if acc is None:
-                                    part[key] = {target: c * entry for target, entry in row.items()}
+                                    sink[indices] = {target: c * entry for target, entry in row.items()}
                                 else:
                                     for target, entry in row.items():
                                         acc[target] = acc.get(target, 0) + c * entry
-            _nonzero(part, ka, out)
-        return out
 
 
 class _Difference(_Node):
@@ -403,14 +426,9 @@ class _Difference(_Node):
         super().__init__(math.lcm(plus.scale, minus.scale), plus.width)
         self.plus, self.minus = plus, minus
 
-    def _join(self, fix):
-        up, down = self.scale // self.plus.scale, self.scale // self.minus.scale
-        out = {key: {target: up * c for target, c in vector.items()} for key, vector in self.plus.rows(fix).items()}
-        for key, vector in self.minus.rows(fix).items():
-            acc = out.setdefault(key, {})
-            for target, c in vector.items():
-                acc[target] = acc.get(target, 0) - down * c
-        return _nonzero(out)
+    def _accumulate(self, fix, sink, weights, signed, reorder, m):
+        self.plus.accumulate(fix, sink, weights, signed, reorder, m * (self.scale // self.plus.scale))
+        self.minus.accumulate(fix, sink, weights, signed, reorder, -m * (self.scale // self.minus.scale))
 
 
 def _canonical(expr: Expr, order: dict[str, str]) -> Expr:
@@ -479,18 +497,10 @@ def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[t
 
 def _chunk(terms: list[tuple], index: int) -> dict[tuple[int, ...], dict[int, int]]:
     """The scaled residues of every tuple whose first variable is basis vector
-    ``index`` and at which some term is nonzero; they may hold zero entries."""
+    ``index`` and at which some term has a product; they may hold zero entries."""
     residue: dict[tuple[int, ...], dict[int, int]] = {}
     for node, position, reorder, signed, weights in terms:
-        for key, vector in node.rows((position, index)).items():
-            w = weights[signed(key)]
-            indices = reorder(key)
-            acc = residue.get(indices)
-            if acc is None:
-                residue[indices] = {target: w * c for target, c in vector.items()}
-            else:
-                for target, c in vector.items():
-                    acc[target] = acc.get(target, 0) + w * c
+        node.accumulate((position, index), residue, weights, signed, reorder)
     return residue
 
 

@@ -37,6 +37,8 @@ KINDS = tuple(_KIND_TYPES)
 IDENTITY_TWIST = "id"
 # The top-level keys a file may hold; ``save`` writes exactly these.
 KEYS = ("name", "kind", "convention", "basis", "binary", "ternary", "maps", "twist")
+# The keys of one ``basis`` entry; ``save`` writes exactly these.
+BASIS_KEYS = ("name", "parity")
 
 
 class AlgebraFileError(ValueError):
@@ -154,6 +156,11 @@ def load(path) -> AlgebraDocument:
     for position, item in enumerate(raw_basis):
         if not isinstance(item, dict) or "name" not in item or "parity" not in item:
             raise AlgebraFileError(f"basis[{position}]: expected {{name, parity}}")
+        unknown = [key for key in item if key not in BASIS_KEYS]
+        if unknown:
+            raise AlgebraFileError(
+                f"basis[{position}]: unknown key {', '.join(map(repr, unknown))}; allowed keys: {', '.join(BASIS_KEYS)}"
+            )
         name, parity = item["name"], item["parity"]
         if not isinstance(name, str):
             raise AlgebraFileError(f"basis[{position}]: name must be a string, got {name!r}")

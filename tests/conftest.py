@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -18,6 +20,15 @@ from superbol import (
     plus_algebra,
 )
 from superbol.engine import check, evaluate_on_elements
+
+
+def bench_families():
+    """The benchmark's generated known-truth families, ``bench/families.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -3,12 +3,13 @@ import dataclasses
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 
 import reference
-from conftest import graded_structures, oracle_agreement, random_element
+from conftest import bench_families, graded_structures, oracle_agreement, random_element
 from reference import koszul
 from superbol.catalog import SPACE_1_2, builtin_example, example_5_1_beta
 from superbol.constructions import (
@@ -179,6 +180,31 @@ def test_binding_kernel_is_shared_by_a_suite(ex51):
     assert not shared[0].passed
 
 
+def test_kernel_paths_agree_in_any_order():
+    """On a mutated bol(M(2|1)), each suite's identities checked on one
+    binding, forward or in reverse, give the reports of fresh bindings.
+    Forward, ``[x,y]`` and ``{x,y,z}`` are top nodes before any table is
+    kept; in reverse, they are top nodes read from the tables that
+    ``ternary_derivation`` and ``binary_ternary_compat`` kept."""
+    families = bench_families()
+    bol = bol_from_right_alternative(families.matrix_superalgebra(2, 1), Convention.UNIT, checked=False)
+    space, index = bol.space, bol.space.index
+    binary, ternary = dict(bol.binary.constants), dict(bol.ternary.constants)
+    for constants, names, target in ((binary, ("e32", "e23"), "e33"), (ternary, ("e31", "e13", "e32"), "e32")):
+        key = tuple(map(index, names))
+        constants[key] = constants.get(key, space.zero()) + space.basis_vector(index(target))
+    beta = families.diagonal_automorphism(2, 1, (1, -3, Fraction(1, 2)))
+    for name, twist in (("BOL", bol.twist), ("HOM_BOL", beta)):
+        mutated = HomBinaryTernary(BinaryStructure(space, binary), TernaryStructure(space, ternary), twist)
+        spec = suite(name)
+        fresh = [check(binding_for(mutated, spec), identity) for identity in spec.identities]
+        assert sum(not report.passed for report in fresh) >= 4, name
+        binding = binding_for(mutated, spec)
+        assert [check(binding, identity) for identity in spec.identities] == fresh, name
+        binding = binding_for(mutated, spec)
+        assert [check(binding, identity) for identity in reversed(spec.identities)] == fresh[::-1], name
+
+
 def test_identity_twist_compiles_to_no_powers(ex51, ex51_bol, monkeypatch):
     """An identity-twist suite builds no twist power and composes no maps,
     while an involution's square still compiles away."""
@@ -221,7 +247,8 @@ def test_oracle_shares_nothing_with_the_kernel():
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
     assert {"_Leaf", "_Binary", "_Ternary"} <= node_classes and tables
-    assert {"_compile", "_chunk", "_components"} <= helpers and {"rows", "table", "at", "_join"} <= methods
+    assert {"_compile", "_chunk", "_components"} <= helpers
+    assert {"rows", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
     kernel = {"node", "_build", "_tensor", "_twist_columns"} | helpers | methods | tables
     for name in _ORACLE:
         names = set()
@@ -298,9 +325,70 @@ _MIXED_DENOMINATORS = HomBinaryTernary(
 )
 
 
+# At the first failing tuple of each identity in _MIXED_TOP_KINDS, terms whose
+# top nodes are of different kinds add opposite signs to one component.
+_TOPS = SuperSpace.build([("e0", 0), ("e1", 1)])
+_MIXED_TOPS = HomBinaryTernary(
+    BinaryStructure.from_table(_TOPS, {("e1", "e0"): {"e1": -1}, ("e1", "e1"): {"e0": -1}}),
+    TernaryStructure.from_table(
+        _TOPS,
+        {
+            ("e0", "e0", "e0"): {"e0": 1},
+            ("e0", "e0", "e1"): {"e1": 1},
+            ("e0", "e1", "e1"): {"e0": 2},
+            ("e1", "e0", "e0"): {"e1": 1},
+            ("e1", "e0", "e1"): {"e0": 1},
+        },
+    ),
+    EvenMap(_TOPS, ((2, 0), (0, 3))),
+)
+_MIXED_TOP_KINDS = {
+    ("HOM_BOL", "binary_multiplicativity"): {"_Twisted", "_Binary"},
+    ("HOM_BOL", "ternary_multiplicativity"): {"_Twisted", "_Ternary"},
+    ("HOM_BOL", "binary_ternary_compat"): {"_Ternary", "_Binary"},
+    ("EQ_7_10", "derived_ternary_closed_form_twisted"): {"_Difference", "_Binary"},
+}
+
+
+def test_mixed_tops_example_mixes_top_node_kinds():
+    space = _MIXED_TOPS.space
+    for (name, identity_name), kinds in _MIXED_TOP_KINDS.items():
+        spec = suite(name)
+        binding = binding_for(_MIXED_TOPS, spec)
+        identity = next(identity for identity in spec.identities if identity.name == identity_name)
+        report = check(binding, identity)
+        names = zip(identity.variables, report.counterexample)
+        assignment = {var: space.basis_vector(space.index(n)) for var, n in names}
+        signs = set()
+        for term in identity.terms:
+            value = evaluate_on_elements(dataclasses.replace(identity, terms=(term,)), binding, assignment)
+            kind = type(binding.node(term.expr)[0]).__name__
+            signs.update((kind, target, c > 0) for target, c in value.coords.items())
+        assert any(
+            (other, target, not positive) in signs
+            for kind, target, positive in signs
+            if kind in kinds
+            for other in kinds - {kind}
+        ), identity_name
+
+
+def test_associator_reads_its_sides_from_kept_tables():
+    """An associator whose two sides an earlier identity kept as sub-term
+    tables walks them at opposite signs, as a fresh binding fuses them."""
+    algebra = HomSuperalgebra(_MIXED_DENOMINATORS.binary, _MIXED_DENOMINATORS.twist)
+    sides = parse_identity("(((x*y)*A(z))*w) - ((A(x)*(y*z))*w) = 0", name="sides")
+    associator = suite("RIGHT_HOM_ALT").identities[0]
+    binding = star_binding(algebra)
+    check(binding, sides)
+    report = check(binding, associator)
+    assert report == check(star_binding(algebra), associator)
+    assert not report.passed
+
+
 @_differential
 @given(graded_structures())
 @example(_LAST_FIRST)
+@example(_MIXED_TOPS)
 @example(_MIXED_DENOMINATORS)
 def test_kernel_agrees_with_element_evaluation(structure):
     for name in _DIFFERENTIAL_SUITES:

@@ -5,29 +5,18 @@ that structure by an even automorphism is Hom-Bol.  The twists are
 conjugations: by a diagonal matrix (bench/families.py) and by the unipotent
 I + E_12, whose twist columns mix basis vectors (built here)."""
 
-import importlib.util
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import bench_families
 from superbol.constructions import bol_from_right_alternative, plus_algebra, yau_twist_algebra, yau_twist_bol
 from superbol.core import EvenMap, apply_map
 from superbol.structures import Convention, is_even_self_morphism
 from superbol.suites import run_suite
 
-_FAMILIES_PATH = Path(__file__).resolve().parent.parent / "bench" / "families.py"
-
-
-def _families_module():
-    spec = importlib.util.spec_from_file_location("bench_families", _FAMILIES_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-families = _families_module()
+families = bench_families()
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +61,15 @@ def test_dim_16_bol_and_its_yau_twist():
     assert report["ternary_derivation"].tuples_checked == 16**5
     beta = families.diagonal_automorphism(2, 2, (1, -2, Fraction(3, 5), 7))
     assert run_suite(yau_twist_bol(bol, beta), "HOM_BOL").passed
+
+
+def test_dim_25_bol():
+    """The next ceiling of the dimension ladder: BOL on bol(M(3|2))."""
+    bol = bol_from_right_alternative(families.matrix_superalgebra(3, 2), Convention.UNIT, checked=False)
+    assert bol.space.dim == 25
+    report = run_suite(bol, "BOL")
+    assert report.passed
+    assert report["ternary_derivation"].tuples_checked == 25**5
 
 
 def _unipotent_conjugation(algebra, size):

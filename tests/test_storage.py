@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,19 @@ def test_unknown_top_level_key_is_rejected(tmp_path, capsys, payload, typo):
         load(path)
     assert main(["check", str(path), "--suite", "HOM_BOL"]) == 2
     assert f"'{typo}'" in capsys.readouterr().err
+
+
+def test_unknown_key_in_a_basis_entry_is_rejected(tmp_path, capsys):
+    data = document_to_dict(example_document("example_5_1"))
+    entry = next(item for item in data["basis"] if item["name"] == "j")
+    position = data["basis"].index(entry)
+    entry["partiy"] = 0
+    path = _write(tmp_path, data)
+    message = f"basis[{position}]: unknown key 'partiy'; allowed keys: name, parity"
+    with pytest.raises(AlgebraFileError, match=re.escape(message)):
+        load(path)
+    assert main(["info", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
