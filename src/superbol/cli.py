@@ -38,7 +38,7 @@ from .storage import (
     load,
     save,
 )
-from .structures import HomTripleSystem, grading_check, is_multiplicative
+from .structures import grading_check, is_multiplicative
 from .suites import SUITE_NAMES, run_suite, suite
 
 
@@ -112,10 +112,7 @@ def cmd_check(args) -> int:
 _CONSTRUCTIONS = {
     "minus": (KIND_BINARY, lambda structure, conv, checked: minus_algebra(structure, conv)),
     "plus": (KIND_BINARY, lambda structure, conv, checked: plus_algebra(structure, conv)),
-    "jordan_lts": (
-        KIND_BINARY,
-        lambda structure, conv, checked: HomTripleSystem.untwisted(jordan_lts_bracket(structure, checked=checked)),
-    ),
+    "jordan_lts": (KIND_BINARY, lambda structure, conv, checked: jordan_lts_bracket(structure, checked=checked)),
     "bol": (KIND_BINARY, lambda structure, conv, checked: bol_from_right_alternative(structure, conv, checked=checked)),
     "hom_jordan_triple": (KIND_BINARY, lambda structure, conv, checked: hom_jordan_triple(structure, checked=checked)),
     "hom_bol": (

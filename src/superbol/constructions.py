@@ -90,12 +90,13 @@ def plus_algebra(algebra: HomSuperalgebra, conv: Convention = Convention.UNIT) -
     return HomSuperalgebra(graded_product(algebra.binary, conv, SUPER_JORDAN), algebra.twist)
 
 
-def jordan_lts_bracket(jordan: HomSuperalgebra, checked: bool = True) -> TernaryStructure:
-    """Ternary bracket 2(x(yz) - (-1)^{|x||y|} y(xz)) of an untwisted Jordan product."""
+def jordan_lts_bracket(jordan: HomSuperalgebra, checked: bool = True) -> HomTripleSystem:
+    """Untwisted ternary system of the bracket 2(x(yz) - (-1)^{|x||y|} y(xz))
+    of an untwisted Jordan product."""
     _require_identity_twist(jordan, "jordan_lts_bracket")
     if checked:
         _require_suite(jordan, "SUPERCOMMUTATIVE", "jordan_lts_bracket")
-    return TernaryStructure(jordan.space, tabulated(_JORDAN_LTS, {STAR: jordan.binary}))
+    return HomTripleSystem.untwisted(TernaryStructure(jordan.space, tabulated(_JORDAN_LTS, {STAR: jordan.binary})))
 
 
 def bol_from_right_alternative(

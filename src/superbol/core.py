@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 EVEN = 0
@@ -207,38 +206,35 @@ def parity_of(element: Element):
     return MIXED
 
 
-def is_even_matrix(rows: Iterable[Iterable[Scalar]], space: SuperSpace) -> bool:
-    """True iff the square matrix has no nonzero entry crossing parities.
-
-    Rows are indexed by target basis vector, columns by source.
-    """
-    rows = [list(map(rational, row)) for row in rows]
-    if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
-        raise ValueError(f"expected a {space.dim}x{space.dim} matrix")
-    for target in range(space.dim):
-        for source in range(space.dim):
-            if rows[target][source] != 0 and space.parity(target) != space.parity(source):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class EvenMap:
     """A parity-preserving linear self-map stored as a (target, source) matrix.
 
-    ``columns`` is its sparse view, computed once and never mutated: the
-    nonzero entries of each source column as ``{target: entry}``.  Map
-    arithmetic reads only that view.
+    One pass at construction coerces every entry to a rational, checks the
+    shape, and builds ``columns``, the sparse view that map arithmetic reads:
+    the nonzero entries of each source column as ``{target: entry}``, never
+    mutated.  Parity is checked on those nonzero entries only; a bad shape or
+    an entry crossing parities raises ``ValueError``.
     """
 
     space: SuperSpace
     matrix: tuple[tuple[Fraction, ...], ...] = field(default=())
+    columns: tuple[dict[int, Fraction], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(rational(v) for v in row) for row in self.matrix)
+        n, parities = self.space.dim, self.space.parities
+        rows = tuple(tuple(map(rational, row)) for row in self.matrix)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"expected a {n}x{n} matrix")
+        columns = tuple({} for _ in range(n))
+        for target, row in enumerate(rows):
+            for source, entry in enumerate(row):
+                if entry:
+                    if parities[target] != parities[source]:
+                        raise ValueError("matrix is not an even map: an entry crosses parities")
+                    columns[source][target] = entry
         object.__setattr__(self, "matrix", rows)
-        if not is_even_matrix(rows, self.space):
-            raise ValueError("matrix is not an even map (cross-parity entry or bad shape)")
+        object.__setattr__(self, "columns", columns)
 
     @staticmethod
     def identity(space: SuperSpace) -> "EvenMap":
@@ -261,10 +257,6 @@ class EvenMap:
             tuple(columns[j].coords.get(i, Fraction(0)) for j in range(n)) for i in range(n)
         )
         return EvenMap(space, rows)
-
-    @cached_property
-    def columns(self) -> tuple[dict[int, Fraction], ...]:
-        return tuple({i: row[j] for i, row in enumerate(self.matrix) if row[j]} for j in range(self.space.dim))
 
     def is_identity(self) -> bool:
         return all(column == {j: 1} for j, column in enumerate(self.columns))

@@ -47,14 +47,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .core import Element, EvenMap, SuperSpace, apply_map, power
 from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, SignPoly, Twist, Var
 from .reports import CheckReport
-from .structures import BinaryStructure, TernaryStructure, bin_mul, tern_mul
-
-OpStructure = Union[BinaryStructure, TernaryStructure]
+from .structures import BinaryStructure, ProductTensor, TernaryStructure, bin_mul, tern_mul
 
 
 class UnboundSymbolError(KeyError):
@@ -80,7 +78,7 @@ class StructureBinding:
     """
 
     space: SuperSpace
-    ops: Mapping[str, OpStructure]
+    ops: Mapping[str, ProductTensor]
     twist: EvenMap
     _tensors: dict[str, tuple[int, dict]] = field(init=False, repr=False, compare=False, default_factory=dict)
     _columns: dict[int, Optional[tuple[int, list[dict[int, int]]]]] = field(
@@ -99,7 +97,7 @@ class StructureBinding:
             raise ValueError("twist lives in a different space")
         object.__setattr__(self, "ops", dict(self.ops))
 
-    def op(self, symbol: str) -> OpStructure:
+    def op(self, symbol: str) -> ProductTensor:
         try:
             return self.ops[symbol]
         except KeyError:
@@ -508,31 +506,38 @@ def _element(space: SuperSpace, vector: Mapping[int, int], scale: int) -> Elemen
     return Element(space, {target: Fraction(c, scale) for target, c in vector.items() if c})
 
 
+def _nonzero(binding: StructureBinding, identity: Identity):
+    """Every tuple with a nonzero residue and that residue as an Element,
+    keyed by basis-index tuple in the order of ``identity.variables``, in
+    lexicographic order, one chunk at a time."""
+    space = binding.space
+    scale, terms = _compile(binding, identity)
+    for index in range(space.dim):
+        residue = _chunk(terms, index)
+        for indices in sorted([indices for indices, vector in residue.items() if any(vector.values())]):
+            yield indices, _element(space, residue[indices], scale)
+
+
 def check(binding: StructureBinding, identity: Identity) -> CheckReport:
     """Evaluate every term on every homogeneous basis tuple; exact verdict.
 
     The residue at each tuple is the signed, coefficient-weighted sum of the
     identity's terms; the identity passes iff the residue is the zero element
     at all tuples.  The counterexample reported for a failing identity is the
-    lexicographically first failing tuple in basis order: the least failing
-    tuple of the first chunk that has one.  Checks on one binding share its
-    compiled tensors and sub-term tables.
+    lexicographically first failing tuple in basis order: the first tuple
+    :func:`_nonzero` yields, after which no later chunk is built.  Checks on
+    one binding share its compiled tensors and sub-term tables.
     """
     space = binding.space
     total = space.dim ** identity.arity
-    scale, terms = _compile(binding, identity)
-    for index in range(space.dim):
-        residue = _chunk(terms, index)
-        failing = [indices for indices, vector in residue.items() if any(vector.values())]
-        if failing:
-            indices = min(failing)
-            return CheckReport(
-                name=identity.name,
-                passed=False,
-                tuples_checked=total,
-                counterexample=tuple(space.names[i] for i in indices),
-                residue=_element(space, residue[indices], scale),
-            )
+    for indices, residue in _nonzero(binding, identity):
+        return CheckReport(
+            name=identity.name,
+            passed=False,
+            tuples_checked=total,
+            counterexample=tuple(space.names[i] for i in indices),
+            residue=residue,
+        )
     return CheckReport(name=identity.name, passed=True, tuples_checked=total)
 
 
@@ -540,15 +545,7 @@ def tabulate(binding: StructureBinding, identity: Identity) -> dict[tuple[int, .
     """The nonzero values of the identity's term sum, keyed by basis-index
     tuple in the order of ``identity.variables``, in lexicographic order: the
     structure constants of the product the term sum defines."""
-    space = binding.space
-    scale, terms = _compile(binding, identity)
-    table = {}
-    for index in range(space.dim):
-        residue = _chunk(terms, index)
-        for indices in sorted(residue):
-            if any(residue[indices].values()):
-                table[indices] = _element(space, residue[indices], scale)
-    return table
+    return dict(_nonzero(binding, identity))
 
 
 def evaluate_on_elements(

@@ -6,12 +6,12 @@ arity; ``BinaryStructure`` and ``TernaryStructure`` fix it at 2 and 3.  One
 base, :class:`HomStructure`, holds a binary tensor, a ternary tensor or both
 with one even twist; ``HomSuperalgebra``, ``HomTripleSystem`` and
 ``HomBinaryTernary`` (the three kinds a file holds) fix which product is
-absent.  A ``Structure`` is one of those or a bare tensor.  The only
-element-level products are ``bin_mul`` and ``tern_mul``, one multilinear
-body that extends a tensor to arbitrary elements; they serve the
-general-element oracle.  Derived tables are built by the engine from DSL
-term sums, and the self-morphism laws below are identities the engine
-checks.
+absent; "untwisted" means the identity twist.  Every check and suite
+takes a structure as one of those.  The only element-level products are
+``bin_mul`` and ``tern_mul``, one multilinear body that extends a tensor to
+arbitrary elements; they serve the general-element oracle.  Derived tables
+are built by the engine from DSL term sums, and the self-morphism laws below
+are identities the engine checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Mapping, Optional, Union
+from typing import ClassVar, Mapping, Optional
 
 from .core import (
     Element,
@@ -29,7 +29,6 @@ from .core import (
     Scalar,
     SuperSpace,
     compose,
-    is_even_matrix,
     parity_of,
 )
 from .dsl import BRACES, BRACKET, parse_identity
@@ -147,22 +146,6 @@ class HomBinaryTernary(HomStructure):
     """A binary and a ternary structure sharing one space and one twist."""
 
 
-Structure = Union[ProductTensor, HomStructure]
-
-
-def structure_parts(
-    structure: Structure,
-) -> tuple[Optional[BinaryStructure], Optional[TernaryStructure], EvenMap]:
-    """The (binary, ternary, twist) of a structure; a missing product is None,
-    and a bare structure-constant tensor carries the identity twist."""
-    if isinstance(structure, HomStructure):
-        return structure.binary, structure.ternary, structure.twist
-    if not isinstance(structure, ProductTensor):
-        raise TypeError(f"not a binary or ternary structure: {type(structure).__name__}")
-    products = (structure, None) if structure.arity == 2 else (None, structure)
-    return (*products, EvenMap.identity(structure.space))
-
-
 def _multilinear(structure: ProductTensor, operands: tuple[Element, ...]) -> Element:
     """Multilinear extension of the stored structure constants."""
     space = structure.space
@@ -216,53 +199,38 @@ BINARY_MULTIPLICATIVITY = parse_identity("A([x,y]) - [A(x),A(y)] = 0", name="bin
 TERNARY_MULTIPLICATIVITY = parse_identity("A({x,y,z}) - {A(x),A(y),A(z)} = 0", name="ternary_multiplicativity")
 
 
-def is_even_self_morphism(structure: Structure, f, name: str = "even_self_morphism") -> CheckReport:
-    """Check that f commutes with every operation of the structure and its twist.
+def is_even_self_morphism(structure: HomStructure, f: EvenMap, name: str = "even_self_morphism") -> CheckReport:
+    """Check that the even map f commutes with the structure's twist and products.
 
-    ``f`` may be an :class:`EvenMap` or a raw square matrix of rationals (rows
-    indexed by target basis vector).  Conditions, in report order: f is even,
-    f commutes with the twist, f is a morphism for the binary product on all
-    basis pairs, and for the ternary product on all basis triples.  The two
-    morphism laws are the identities above, checked by the engine with the
-    twist symbol bound to f.  The report carries the first failing condition
-    and tuple; ``tuples_checked`` counts the conditions up to and including
-    it, basis tuples in lexicographic order.
+    Conditions, in report order: f commutes with the twist, f is a morphism
+    for the binary product on all basis pairs, and for the ternary product on
+    all basis triples.  The two morphism laws are the identities above,
+    checked by the engine with the twist symbol bound to f.  The report
+    carries the first failing condition and tuple; ``tuples_checked`` counts
+    the conditions up to and including it, basis tuples in lexicographic
+    order.
     """
-    space = structure.space
-    checked = 0
-    if not isinstance(f, EvenMap):
-        checked += 1
-        if not is_even_matrix(f, space):
-            return CheckReport(
-                name=name,
-                passed=False,
-                tuples_checked=checked,
-                detail="candidate matrix has a cross-parity entry (not even)",
-            )
-        f = EvenMap(space, tuple(tuple(row) for row in f))
+    space, twist = structure.space, structure.twist
     if f.space != space:
         raise ValueError("candidate map lives in a different superspace")
-
-    binary, ternary, twist = structure_parts(structure)
-    if isinstance(structure, HomStructure):
-        checked += 1
-        if compose(f, twist) != compose(twist, f):
-            return CheckReport(
-                name=name,
-                passed=False,
-                tuples_checked=checked,
-                detail="candidate does not commute with the twist",
-            )
+    checked = 1
+    if compose(f, twist) != compose(twist, f):
+        return CheckReport(
+            name=name,
+            passed=False,
+            tuples_checked=checked,
+            detail="candidate does not commute with the twist",
+        )
 
     # The engine imports this module, so a top-level import would be circular.
     from .engine import StructureBinding, check
 
     ops, laws = {}, []
-    if binary is not None:
-        ops[BRACKET] = binary
+    if structure.binary is not None:
+        ops[BRACKET] = structure.binary
         laws.append((BINARY_MULTIPLICATIVITY, "binary"))
-    if ternary is not None:
-        ops[BRACES] = ternary
+    if structure.ternary is not None:
+        ops[BRACES] = structure.ternary
         laws.append((TERNARY_MULTIPLICATIVITY, "ternary"))
     binding = StructureBinding(space, ops, f)
     for law, label in laws:

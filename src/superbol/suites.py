@@ -26,14 +26,15 @@ from typing import Mapping, Optional, Union
 
 from .core import Element, EvenMap, SuperSpace
 from .dsl import STAR, Identity, parse_identity
-from .engine import OpStructure, StructureBinding, check, tabulate
+from .engine import StructureBinding, check, tabulate
 from .reports import SuiteReport
 from .structures import (
     BINARY_MULTIPLICATIVITY,
     TERNARY_MULTIPLICATIVITY,
     BinaryStructure,
     Convention,
-    structure_parts,
+    HomStructure,
+    ProductTensor,
 )
 
 TWIST_STRUCTURE = "structure"
@@ -52,7 +53,8 @@ class SuiteSpec:
     twist_mode: str
 
 
-SUPERCOMMUTATOR = parse_identity("(x*y) - (-1)^{x.y} (y*x) = 0", name="supercommutator")
+_SUPERCOMMUTATOR_TEXT = "(x*y) - (-1)^{x.y} (y*x) = 0"
+SUPERCOMMUTATOR = parse_identity(_SUPERCOMMUTATOR_TEXT, name="supercommutator")
 SUPER_JORDAN = parse_identity("(x*y) + (-1)^{x.y} (y*x) = 0", name="super_jordan")
 
 
@@ -78,9 +80,7 @@ _LEFT_ALT_ID = _ids(
     ),
 )
 
-_SUPERCOMMUTATIVITY = _ids(
-    ("supercommutativity", "(x*y) - (-1)^{x.y} (y*x) = 0"),
-)
+_SUPERCOMMUTATIVITY = _ids(("supercommutativity", _SUPERCOMMUTATOR_TEXT))
 
 _JORDAN_SUPERIDENTITY = _ids(
     (
@@ -115,6 +115,11 @@ _TERNARY_CYCLIC = (
     "ternary_cyclic_sum",
     "{x,y,z} + (-1)^{x.y + x.z} {y,z,x} + (-1)^{z.x + z.y} {z,x,y} = 0",
 )
+_TERNARY_DERIVATION = (
+    "ternary_derivation",
+    "{x,y,{u,v,w}} - {{x,y,u},v,w} - (-1)^{u.x + u.y} {u,{x,y,v},w}"
+    " - (-1)^{x.u + x.v + y.u + y.v} {u,v,{x,y,w}} = 0",
+)
 
 _BOL_IDS = _ids(
     _SKEW_BINARY,
@@ -126,11 +131,7 @@ _BOL_IDS = _ids(
         " - (-1)^{x.u + x.v + y.u + y.v} {u,v,[x,y]}"
         " + (-1)^{x.u + x.v + y.u + y.v} [[u,v],[x,y]] = 0",
     ),
-    (
-        "ternary_derivation",
-        "{x,y,{u,v,w}} - {{x,y,u},v,w} - (-1)^{u.x + u.y} {u,{x,y,v},w}"
-        " - (-1)^{x.u + x.v + y.u + y.v} {u,v,{x,y,w}} = 0",
-    ),
+    _TERNARY_DERIVATION,
 )
 
 _HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + _ids(
@@ -151,15 +152,7 @@ _HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + _ids(
     ),
 )
 
-_LIE_TRIPLE_IDS = _ids(
-    _SKEW_TERNARY,
-    _TERNARY_CYCLIC,
-    (
-        "ternary_derivation",
-        "{x,y,{u,v,w}} - {{x,y,u},v,w} - (-1)^{u.x + u.y} {u,{x,y,v},w}"
-        " - (-1)^{x.u + x.v + y.u + y.v} {u,v,{x,y,w}} = 0",
-    ),
-)
+_LIE_TRIPLE_IDS = _ids(_SKEW_TERNARY, _TERNARY_CYCLIC, _TERNARY_DERIVATION)
 
 # A twisted ternary system carries one twist map; it stands in for the squared
 # twist an ambient binary-ternary structure would supply in the derivation
@@ -293,7 +286,7 @@ def suite(name: str) -> SuiteSpec:
 
 
 def tabulated(
-    identity: Identity, ops: Mapping[str, OpStructure], twist: Optional[EvenMap] = None
+    identity: Identity, ops: Mapping[str, ProductTensor], twist: Optional[EvenMap] = None
 ) -> dict[tuple[int, ...], Element]:
     """Structure constants of the product defined by ``identity``'s term sum,
     its symbols bound to ``ops`` and its twist to ``twist`` (default identity)."""
@@ -311,23 +304,22 @@ def graded_product(binary: BinaryStructure, conv: Convention, product: Identity)
     return BinaryStructure(binary.space, tabulated(scaled(product, conv.factor), {STAR: binary}))
 
 
-def binding_for(structure, spec: SuiteSpec) -> StructureBinding:
+def binding_for(structure: HomStructure, spec: SuiteSpec) -> StructureBinding:
     """Derive the operation bindings the suite expects from a structure."""
-    binary, ternary, twist = structure_parts(structure)
     space: SuperSpace = structure.space
     ops = {}
     for symbol, source in spec.bindings:
         derived = isinstance(source, Identity)
         label = BIND_BINARY if derived else source
-        product = binary if label == BIND_BINARY else ternary
+        product = structure.binary if label == BIND_BINARY else structure.ternary
         if product is None:
             raise ValueError(f"suite {spec.name} needs a {label} operation; structure has none")
         ops[symbol] = graded_product(product, Convention.HALF, source) if derived else product
-    bound_twist = EvenMap.identity(space) if spec.twist_mode == TWIST_IDENTITY else twist
+    bound_twist = EvenMap.identity(space) if spec.twist_mode == TWIST_IDENTITY else structure.twist
     return StructureBinding(space=space, ops=ops, twist=bound_twist)
 
 
-def run_suite(structure, name: str) -> SuiteReport:
+def run_suite(structure: HomStructure, name: str) -> SuiteReport:
     """Bind a structure per the suite's rules and check every identity."""
     spec = suite(name)
     binding = binding_for(structure, spec)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from superbol.catalog import (
     form_preserving_map,
     jordan_form_triple,
 )
+from superbol import constructions
 from superbol.constructions import (
     BilinearForm,
     ConstructionError,
@@ -32,10 +34,12 @@ from superbol.structures import (
     BinaryStructure,
     Convention,
     HomBinaryTernary,
+    HomStructure,
     HomSuperalgebra,
     bin_mul,
     tern_mul,
 )
+from superbol.storage import AlgebraDocument, load, save
 from superbol.suites import run_suite
 from superbol import builtin_example
 
@@ -85,9 +89,10 @@ def test_plus_of_supercommutative_algebra_is_itself_at_half(grassmann):
 def test_jordan_lts_bracket_values(plus51):
     lts = jordan_lts_bracket(plus51)
     i, j = b("i"), b("j")
-    assert tern_mul(lts, i, j, j) == SPACE_1_2.element({"i": 8})
+    assert tern_mul(lts.ternary, i, j, j) == SPACE_1_2.element({"i": 8})
     for name in SPACE_1_2.names:
-        assert tern_mul(lts, i, i, SPACE_1_2.basis_vector(name)).is_zero()
+        assert tern_mul(lts.ternary, i, i, SPACE_1_2.basis_vector(name)).is_zero()
+    assert lts.twist.is_identity()
     assert run_suite(lts, "LIE_TRIPLE").passed
 
 
@@ -352,3 +357,33 @@ def test_builtin_example_parsing():
         builtin_example("example_5_1_hombol(1,2,3)")
     with pytest.raises(ValueError):
         builtin_example("example_5_1_hombol(1,2")
+
+
+def test_every_construction_returns_a_structure_that_round_trips(tmp_path, ex51, ex51_bol):
+    plus = plus_algebra(ex51, UNIT)
+    triple = hom_jordan_triple(plus)
+    beta = example_5_1_beta(2, 0)
+    built = {
+        "minus_algebra": minus_algebra(ex51, UNIT),
+        "plus_algebra": plus,
+        "jordan_lts_bracket": jordan_lts_bracket(plus),
+        "bol_from_right_alternative": bol_from_right_alternative(ex51, UNIT),
+        "hom_jordan_triple": triple,
+        "lie_triple_from_jordan_triple": lie_triple_from_jordan_triple(triple),
+        "hom_bol_from_right_hom_alternative": hom_bol_from_right_hom_alternative(ex51, UNIT),
+        "yau_twist_algebra": yau_twist_algebra(ex51, beta),
+        "yau_twist_bol": yau_twist_bol(ex51_bol, beta),
+        "yau_twist_triple": yau_twist_triple(jordan_form_triple(1), form_preserving_map()),
+        "nth_derived": nth_derived(builtin_example("example_5_1_hombol(2,0)"), 1),
+        "bilinear_form_triple": bilinear_form_triple(form_1_2(), 1),
+    }
+    public = {
+        name for name, value in vars(constructions).items()
+        if inspect.isfunction(value) and value.__module__ == constructions.__name__ and not name.startswith("_")
+    }
+    assert set(built) == public
+    for name, structure in built.items():
+        assert isinstance(structure, HomStructure), name
+        path = tmp_path / f"{name}.json"
+        save(AlgebraDocument(name=name, structure=structure), path)
+        assert load(path).structure == structure, name

@@ -13,7 +13,6 @@ from superbol.core import (
     SuperSpace,
     apply_map,
     compose,
-    is_even_matrix,
     parity_of,
     power,
     rational,
@@ -163,19 +162,23 @@ def test_sparse_map_arithmetic_matches_dense_reference(maps):
     assert apply_map(f, element) == Element(f.space, image)
     assert f.is_identity() == (f.matrix == _dense_identity(n))
     assert g.is_identity() == (g.matrix == _dense_identity(n))
+    for m in (f, g, composed):
+        assert m.columns == tuple({i: m.matrix[i][j] for i in range(n) if m.matrix[i][j]} for j in range(n))
 
 
-def test_is_even():
-    assert is_even_matrix(example_5_1_beta(5, "1/2").matrix, SPACE_1_2)
-    swap_i_to_j = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
-    assert not is_even_matrix(swap_i_to_j, SPACE_1_2)
-    zero = [[0] * 3 for _ in range(3)]
-    assert is_even_matrix(zero, SPACE_1_2)
+def test_even_map_constructor_accepts_the_zero_matrix():
+    zero = EvenMap(SPACE_1_2, [[0] * 3 for _ in range(3)])
+    assert zero.columns == ({}, {}, {})
+    assert not zero.is_identity()
 
 
 def test_even_map_constructor_rejects_cross_parity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="crosses parities"):
         EvenMap(SPACE_1_2, ((0, 0, 0), (1, 0, 0), (0, 0, 0)))
+    # A matrix of the wrong shape: too few rows, or a short row.
+    for rows in (((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="3x3"):
+            EvenMap(SPACE_1_2, rows)
 
 
 def test_even_map_from_images_requires_full_basis():

@@ -172,24 +172,16 @@ def test_even_self_morphism_bol_fails_for_nonzero_b(ex51_bol):
     assert report.detail == "binary images differ at (j, j)"
 
 
-def test_even_self_morphism_parity_violation_reported_first(ex51_bol):
-    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # i <-> j crosses parity here
-    report = is_even_self_morphism(ex51_bol, swap)
-    assert not report.passed
-    assert "cross-parity" in report.detail
-    assert report.tuples_checked == 1
-
-
 def test_even_self_morphism_swap_fails_as_morphism_when_parity_valid(ex31):
     # In this fixture i and j are both even, so the swap is an even map and
     # the failure surfaces at the first bracket pair instead.
-    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    swap = EvenMap(ex31.space, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     report = is_even_self_morphism(ex31, swap)
     assert not report.passed
     assert report.counterexample == ("i", "j")
     assert "binary" in report.detail
-    # Evenness, twist commutation, then (i,i) and (i,j).
-    assert report.tuples_checked == 4
+    # Twist commutation, then (i,i) and (i,j).
+    assert report.tuples_checked == 3
 
 
 def test_grading_check(ex51):

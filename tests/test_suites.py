@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_grassmann
 from superbol.constructions import bol_from_right_alternative, plus_algebra
-from superbol.structures import Convention, TernaryStructure
+from superbol.structures import Convention, HomTripleSystem, TernaryStructure
 from superbol.suites import SUITE_NAMES, binding_for, run_suite, suite
 
 
@@ -41,13 +41,13 @@ def test_binding_requires_matching_operations(ex51, ex31):
     with pytest.raises(ValueError, match="ternary"):
         binding_for(ex51, suite("BOL"))
     with pytest.raises(ValueError, match="binary"):
-        binding_for(TernaryStructure.zero(ex51.space), suite("RIGHT_ALT"))
+        binding_for(HomTripleSystem.untwisted(TernaryStructure.zero(ex51.space)), suite("RIGHT_ALT"))
     binding = binding_for(ex31, suite("BOL"))
     assert set(binding.ops) == {"[]", "{}"}
 
 
-def test_bare_ternary_structure_binds_with_identity_twist(ex31):
-    report = run_suite(ex31.ternary, "LIE_TRIPLE")
+def test_example_3_1_ternary_passes_lie_triple(ex31):
+    report = run_suite(HomTripleSystem.untwisted(ex31.ternary), "LIE_TRIPLE")
     assert report.passed
 
 
