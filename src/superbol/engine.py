@@ -14,21 +14,29 @@ the argument tables by component; sub-terms equal up to renaming share one
 node.  The top node of each term is never materialized.  The residue is
 built in chunks, one per basis index of the identity's first variable: each
 term's top node accumulates its signed, weighted values straight into the
-chunk under the identity's variable order, through the one ``accumulate``
-loop of its node kind (a product joins in place, a twist maps its argument's
-rows, an associator passes signed multiples to its two sides, and a node
-whose table is already kept walks it); the same loops, at unit weight, build
-the kept tables.  The chunks are visited in order, so a failing check stops
-at the first chunk with a nonzero residue and reports that chunk's least
-failing tuple.  A tuple outside the support of every term has residue zero,
-so visiting only the supports decides every one of the d**n tuples and the
-count stays exact.
+chunk, through the one ``accumulate`` loop of its node kind (a product joins
+in place, a twist maps its argument's accumulated rows, an associator passes
+signed multiples to its two sides, and a node whose table is already kept
+walks it); the same loops, at unit weight, build the kept tables.
+
+Inside a check a tuple is keyed by one integer, its code: the tuple's index
+in the identity's variable order, packed in base d, shifted above n parity
+bits that hold the parities of its basis vectors.  Each term codes every key
+position of its node by one column of integers, so a join adds its
+arguments' codes, the parity bits index the term's table of signed weights,
+and codes sort as their tuples do.  Only failing codes are decoded back to
+tuples; kept tables stay keyed by tuple.  The chunks are visited in order,
+so a failing check stops at the first chunk with a nonzero residue and
+reports that chunk's least failing tuple.  A tuple outside the support of
+every term has residue zero, so visiting only the supports decides every one
+of the d**n tuples and the count stays exact.
 
 Arithmetic is integer.  Tensors and twist columns are stored as integers
 times the lcm of their denominators; a node's values are its true values
 times its scale, the product of its factors' scales; each identity gets one
-common scale S, and each term one integer weight, coefficient * S / scale.
-The residue is divided by S only when an :class:`Element` is built.
+common scale S, and each term one integer weight, coefficient * S / scale,
+times its sign at each parity pattern.  The residue is divided by S only
+when an :class:`Element` is built.
 :func:`tabulate` reads the same chunks and returns the nonzero values
 instead of a verdict; every derived product of the toolkit (supercommutator,
 Jordan product, the Bol and triple ternaries) is a term sum built this way.
@@ -46,8 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Element, EvenMap, SuperSpace, apply_map, power
 from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, SignPoly, Twist, Var
@@ -72,8 +79,10 @@ class StructureBinding:
     by their support, each non-identity twist power as integer sparse
     columns read from the power's nonzero entries (an identity twist
     compiles to no powers at all), and one node per sub-term, whose table of
-    nonzero values is joined once and shared by every sub-term equal to it up
-    to renaming, across all identities checked on this binding.  A new
+    nonzero values, keyed by basis-index tuple, is joined once and shared by
+    every sub-term equal to it up to renaming, across all identities checked
+    on this binding.  The integer codes a check keys its residue by, and the
+    coded copies of the tables it reads, last only for that check.  A new
     binding starts with empty tables, so it never sees values of an old one.
     """
 
@@ -105,15 +114,16 @@ class StructureBinding:
 
     def _tensor(self, symbol: str) -> tuple[int, dict]:
         """The bound structure as ``(scale, support)``: its constants times
-        ``scale``, the lcm of their denominators, indexed for the joins of
-        :class:`_Binary` and :class:`_Ternary`."""
+        ``scale``, the lcm of their denominators, each row a tuple of
+        ``(target, entry)`` pairs, indexed for the joins of :class:`_Binary`
+        and :class:`_Ternary`."""
         if symbol not in self._tensors:
             structure = self.op(symbol)
             constants = {key: value.coords for key, value in structure.constants.items() if value.coords}
             scale = math.lcm(*(c.denominator for coords in constants.values() for c in coords.values()))
             support: dict = {}
             for key, coords in constants.items():
-                row = _integral(coords, scale)
+                row = tuple(_integral(coords, scale).items())
                 if structure.arity == 2:
                     support.setdefault(key[0], []).append((key[1], row))
                 else:
@@ -145,7 +155,7 @@ class StructureBinding:
 
     def _build(self, expr: Expr) -> _Node:
         if isinstance(expr, Var):
-            return _Leaf(self.space.dim)
+            return _Leaf(self.space.parities)
         if isinstance(expr, Twist):
             columns = self._twist_columns(expr.power)
             arg = self.node(expr.arg)[0]
@@ -208,53 +218,98 @@ def _integral(coords: Mapping[int, Fraction], scale: int) -> dict[int, int]:
     return {target: c.numerator * (scale // c.denominator) for target, c in coords.items()}
 
 
-def _components(rows: Mapping[tuple, dict[int, int]]) -> dict[int, list[tuple[tuple, int]]]:
-    """``rows`` indexed by component: basis index -> [(key, coefficient)]."""
-    index: dict[int, list[tuple[tuple, int]]] = {}
-    for key, vector in rows.items():
+def _decode(code: int, dim: int, n: int) -> tuple[int, ...]:
+    """The basis-index tuple packed in base ``dim`` above the ``n`` low bits
+    of ``code``, most significant digit first."""
+    packed, digits = code >> n, []
+    for _ in range(n):
+        packed, index = divmod(packed, dim)
+        digits.append(index)
+    return tuple(reversed(digits))
+
+
+def _columns(parities: Sequence[int], n: int) -> list[list[int]]:
+    """For each position ``v`` of an n-variable order, the code of each basis
+    index ``i`` there: ``i * dim**(n-1-v) << n | parity(i) << v``."""
+    dim = len(parities)
+    return [[i * dim ** (n - 1 - v) << n | parity << v for i, parity in enumerate(parities)] for v in range(n)]
+
+
+def _components(rows: Iterable[tuple[int, dict[int, int]]]) -> dict[int, list[tuple[int, int]]]:
+    """``(code, vector)`` rows indexed by component: basis index -> [(code, coefficient)]."""
+    index: dict[int, list[tuple[int, int]]] = {}
+    for code, vector in rows:
         for target, c in vector.items():
-            index.setdefault(target, []).append((key, c))
+            index.setdefault(target, []).append((code, c))
     return index
 
 
-# Unit weights, an empty sign key and the identity reorder: what :meth:`_Node._join`
-# passes to ``accumulate`` to build a node's own table.
-_UNIT = ({(): 1}, itemgetter(slice(0)), itemgetter(slice(None)))
+class _Coding:
+    """Integer keys for one term's values, and its weights by parity mask.
+
+    ``codes[p]`` is the column of :func:`_columns` for ``positions[p]``, the
+    position in the identity's variable order of the variable at key
+    position ``p`` of the term's node.  A tuple's code is the sum of its
+    positions' codes, so a join adds the codes of its arguments' rows.
+    ``code & mask`` is the tuple's parity pattern, which indexes ``weights``;
+    ``code >> n`` is the tuple's index in identity order, packed in base
+    ``dim``, so codes sort as their tuples do and :func:`_decode` gives the
+    tuple back.
+    """
+
+    __slots__ = ("codes", "positions", "weights", "mask", "_memo")
+
+    def __init__(self, columns: list[list[int]], positions: Sequence[int], weights: list[int], memo: dict) -> None:
+        self.positions = tuple(positions)
+        self.codes = [columns[v] for v in self.positions]
+        self.weights, self.mask, self._memo = weights, len(weights) - 1, memo
+
+    def coded(self, node: _Node, offset: int, fix: Optional[tuple[int, int]], form=dict):
+        """The kept rows of ``node``, whose key starts at position ``offset``
+        of the term's key, as ``(code, vector)`` pairs gathered by ``form``
+        (``dict`` or :func:`_components`); only the rows at ``fix`` if it is
+        given.  Whole tables are coded once per check, in a ``memo`` the
+        terms share, keyed by node and the identity positions its key lands
+        on; a restriction is coded afresh, since each chunk reads its own."""
+        key = None if fix is not None else (form, node, self.positions[offset:offset + node.width])
+        coded = self._memo.get(key)
+        if coded is None:
+            codes, rows = self.codes[offset:offset + node.width], node.table() if fix is None else node.at(*fix)
+            coded = form((sum(map(list.__getitem__, codes, k)), vector) for k, vector in rows.items())
+            if key is not None:
+                self._memo[key] = coded
+        return coded
 
 
 class _Node:
     """A compiled sub-term, keyed by the tuple of basis indices of its own
     ``width`` variables in traversal order.
 
-    ``accumulate(fix, sink, weights, signed, reorder, m)`` adds ``m`` times
-    the node's values at the keys with basis index ``fix[1]`` at position
-    ``fix[0]`` (all keys if ``fix`` is None), each weighted by
-    ``weights[signed(key)]``, into ``sink`` under ``reorder(key)``.  A node
-    whose table is kept walks it; otherwise each kind has one loop that
-    computes its values straight into the sink: a product joins its
-    arguments' kept tables, a twist maps its argument's rows through its
-    columns, and an associator passes its sides signed multiples.  So a
-    term's top node is never materialized.  ``table()`` builds the kept table
-    with that same loop, into a fresh dict at unit weight, and keeps it.
+    ``accumulate(fix, sink, coding, m)`` adds ``m`` times the node's values
+    at the keys with basis index ``fix[1]`` at position ``fix[0]`` (all keys
+    if ``fix`` is None) into ``sink``, each under its code in ``coding`` and
+    weighted by ``coding.weights[code & coding.mask]``.  A node whose table
+    is kept walks it; otherwise each kind has one loop that computes its
+    values straight into the sink: a product joins its arguments' coded
+    tables, adding their codes, a twist maps its argument's accumulated rows
+    through its columns, and an associator passes its sides signed multiples.
+    So a term's top node is never materialized.  ``table()`` builds the kept
+    table with that same loop, at unit weight under codes of the node's own
+    key order over the space's ``parities``, decodes each code back to its
+    tuple once, and keeps it.
     """
 
-    __slots__ = ("scale", "width", "_table", "_components", "_slices")
+    __slots__ = ("scale", "width", "parities", "_table", "_slices")
 
-    def __init__(self, scale: int, width: int) -> None:
-        self.scale, self.width = scale, width
+    def __init__(self, scale: int, width: int, parities: Sequence[int]) -> None:
+        self.scale, self.width, self.parities = scale, width, parities
         self._table: Optional[dict[tuple, dict[int, int]]] = None
-        self._components: Optional[dict[int, list[tuple[tuple, int]]]] = None
         self._slices: dict[int, dict[int, dict]] = {}
 
     def table(self) -> dict[tuple, dict[int, int]]:
         if self._table is None:
-            self._table = self._join(None)
+            self._table = self._join()
         return self._table
-
-    def components(self) -> dict[int, list[tuple[tuple, int]]]:
-        if self._components is None:
-            self._components = _components(self.table())
-        return self._components
 
     def at(self, position: int, index: int) -> dict[tuple, dict[int, int]]:
         """The rows of the kept table with ``index`` at ``position``."""
@@ -265,37 +320,32 @@ class _Node:
                 slices.setdefault(key[position], {})[key] = vector
         return slices.get(index, {})
 
-    def rows(self, fix: Optional[tuple[int, int]]) -> dict[tuple, dict[int, int]]:
-        if self._table is None:
-            return self._join(fix)
-        return self._table if fix is None else self.at(*fix)
-
-    def _join(self, fix: Optional[tuple[int, int]]) -> dict[tuple, dict[int, int]]:
-        """The node's nonzero values at ``fix``, accumulated afresh."""
-        sink: dict[tuple, dict[int, int]] = {}
-        self.accumulate(fix, sink, *_UNIT)
+    def _join(self) -> dict[tuple, dict[int, int]]:
+        """The node's nonzero values, accumulated afresh."""
+        width, dim = self.width, len(self.parities)
+        sink: dict[int, dict[int, int]] = {}
+        self.accumulate(None, sink, _Coding(_columns(self.parities, width), range(width), [1] * (1 << width), {}))
         out = {}
-        for key, vector in sink.items():
+        for code, vector in sink.items():
             if 0 in vector.values():
                 vector = {target: c for target, c in vector.items() if c}
             if vector:
-                out[key] = vector
+                out[_decode(code, dim, width)] = vector
         return out
 
-    def accumulate(self, fix, sink: dict, weights: Mapping, signed, reorder, m: int = 1) -> None:
+    def accumulate(self, fix, sink: dict, coding: _Coding, m: int = 1) -> None:
         if self._table is None:
-            return self._accumulate(fix, sink, weights, signed, reorder, m)
-        for key, vector in self.rows(fix).items():
-            w = m * weights[signed(key)]
-            indices = reorder(key)
-            acc = sink.get(indices)
+            return self._accumulate(fix, sink, coding, m)
+        weights, mask = coding.weights, coding.mask
+        for code, vector in coding.coded(self, 0, fix).items():
+            w = m * weights[code & mask]
+            acc = sink.get(code)
             if acc is None:
-                sink[indices] = {target: w * c for target, c in vector.items()}
-            else:
-                for target, c in vector.items():
-                    acc[target] = acc.get(target, 0) + w * c
+                sink[code] = acc = {}
+            for target, c in vector.items():
+                acc[target] = acc.get(target, 0) + w * c
 
-    def _accumulate(self, fix, sink, weights, signed, reorder, m) -> None:
+    def _accumulate(self, fix, sink, coding, m) -> None:
         raise NotImplementedError
 
 
@@ -304,30 +354,31 @@ class _Leaf(_Node):
 
     __slots__ = ()
 
-    def __init__(self, dim: int) -> None:
-        super().__init__(1, 1)
-        self._table = {(i,): {i: 1} for i in range(dim)}
+    def __init__(self, parities: Sequence[int]) -> None:
+        super().__init__(1, 1, parities)
+        self._table = {(i,): {i: 1} for i in range(len(parities))}
 
 
 class _Twisted(_Node):
     """A non-identity twist power, stored as integer sparse columns, applied
-    to a sub-term of the same key, which it reads through ``rows``."""
+    to a sub-term of the same key, whose weighted values it accumulates into
+    a part of its own."""
 
     __slots__ = ("columns", "arg")
 
     def __init__(self, scale: int, columns: list[dict[int, int]], arg: _Node) -> None:
-        super().__init__(scale * arg.scale, arg.width)
+        super().__init__(scale * arg.scale, arg.width, arg.parities)
         self.columns, self.arg = columns, arg
 
-    def _accumulate(self, fix, sink, weights, signed, reorder, m):
+    def _accumulate(self, fix, sink, coding, m):
+        part: dict[int, dict[int, int]] = {}
+        self.arg.accumulate(fix, part, coding, m)
         columns = self.columns
-        for key, vector in self.arg.rows(fix).items():
-            w = m * weights[signed(key)]
-            acc = sink.setdefault(reorder(key), {})
+        for code, vector in part.items():
+            acc = sink.setdefault(code, {})
             for source, c in vector.items():
-                wc = w * c
                 for target, entry in columns[source].items():
-                    acc[target] = acc.get(target, 0) + wc * entry
+                    acc[target] = acc.get(target, 0) + c * entry
 
 
 class _Product(_Node):
@@ -336,25 +387,23 @@ class _Product(_Node):
     __slots__ = ("support", "args")
 
     def __init__(self, scale: int, support: dict, args: Sequence[_Node]) -> None:
-        super().__init__(scale * math.prod(arg.scale for arg in args), sum(arg.width for arg in args))
+        super().__init__(
+            scale * math.prod(arg.scale for arg in args), sum(arg.width for arg in args), args[0].parities
+        )
         self.support, self.args = support, tuple(args)
 
-    def _arguments(self, fix):
-        """The first argument's rows and the component indexes of the others;
-        the argument holding position ``fix[0]`` is restricted to ``fix[1]``."""
-        first, *rest = self.args
-        rows, indexes = first.table(), [arg.components() for arg in rest]
-        if fix is not None:
-            position, basis = fix
-            for n, arg in enumerate(self.args):
-                if position < arg.width:
-                    if n:
-                        indexes[n - 1] = _components(arg.at(position, basis))
-                    else:
-                        rows = arg.at(position, basis)
-                    break
-                position -= arg.width
-        return rows, indexes
+    def _arguments(self, fix, coding: _Coding):
+        """The first argument's coded rows and the coded component indexes of
+        the others; the argument holding position ``fix[0]`` is restricted to
+        ``fix[1]``."""
+        coded, offset = [], 0
+        for arg in self.args:
+            local = None
+            if fix is not None and offset <= fix[0] < offset + arg.width:
+                local = (fix[0] - offset, fix[1])
+            coded.append(coding.coded(arg, offset, local, _components if coded else dict))
+            offset += arg.width
+        return coded[0], coded[1:]
 
 
 class _Binary(_Product):
@@ -362,23 +411,21 @@ class _Binary(_Product):
 
     __slots__ = ()
 
-    def _accumulate(self, fix, sink, weights, signed, reorder, m):
-        lefts, (rights,) = self._arguments(fix)
-        support = self.support
+    def _accumulate(self, fix, sink, coding, m):
+        lefts, (rights,) = self._arguments(fix, coding)
+        support, weights, mask = self.support, coding.weights, coding.mask
         for kl, a in lefts.items():
             for i, ca in a.items():
                 ca *= m
                 for j, row in support.get(i, ()):
                     for kr, cb in rights.get(j, ()):
-                        key = kl + kr
-                        c = ca * cb * weights[signed(key)]
-                        indices = reorder(key)
-                        acc = sink.get(indices)
+                        code = kl + kr
+                        c = ca * cb * weights[code & mask]
+                        acc = sink.get(code)
                         if acc is None:
-                            sink[indices] = {target: c * entry for target, entry in row.items()}
-                        else:
-                            for target, entry in row.items():
-                                acc[target] = acc.get(target, 0) + c * entry
+                            sink[code] = acc = {}
+                        for target, entry in row:
+                            acc[target] = acc.get(target, 0) + c * entry
 
 
 class _Ternary(_Product):
@@ -386,9 +433,9 @@ class _Ternary(_Product):
 
     __slots__ = ()
 
-    def _accumulate(self, fix, sink, weights, signed, reorder, m):
-        firsts, (seconds, thirds) = self._arguments(fix)
-        support = self.support
+    def _accumulate(self, fix, sink, coding, m):
+        firsts, (seconds, thirds) = self._arguments(fix, coding)
+        support, weights, mask = self.support, coding.weights, coding.mask
         for ka, a in firsts.items():
             for i, ca in a.items():
                 ca *= m
@@ -403,15 +450,13 @@ class _Ternary(_Product):
                         for kb, cb in bs:
                             cab, kab = ca * cb, ka + kb
                             for kc, cc in cs:
-                                key = kab + kc
-                                c = cab * cc * weights[signed(key)]
-                                indices = reorder(key)
-                                acc = sink.get(indices)
+                                code = kab + kc
+                                c = cab * cc * weights[code & mask]
+                                acc = sink.get(code)
                                 if acc is None:
-                                    sink[indices] = {target: c * entry for target, entry in row.items()}
-                                else:
-                                    for target, entry in row.items():
-                                        acc[target] = acc.get(target, 0) + c * entry
+                                    sink[code] = acc = {}
+                                for target, entry in row:
+                                    acc[target] = acc.get(target, 0) + c * entry
 
 
 class _Difference(_Node):
@@ -421,12 +466,12 @@ class _Difference(_Node):
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: _Node, minus: _Node) -> None:
-        super().__init__(math.lcm(plus.scale, minus.scale), plus.width)
+        super().__init__(math.lcm(plus.scale, minus.scale), plus.width, plus.parities)
         self.plus, self.minus = plus, minus
 
-    def _accumulate(self, fix, sink, weights, signed, reorder, m):
-        self.plus.accumulate(fix, sink, weights, signed, reorder, m * (self.scale // self.plus.scale))
-        self.minus.accumulate(fix, sink, weights, signed, reorder, -m * (self.scale // self.minus.scale))
+    def _accumulate(self, fix, sink, coding, m):
+        self.plus.accumulate(fix, sink, coding, m * (self.scale // self.plus.scale))
+        self.minus.accumulate(fix, sink, coding, -m * (self.scale // self.minus.scale))
 
 
 def _canonical(expr: Expr, order: dict[str, str]) -> Expr:
@@ -442,63 +487,52 @@ def _canonical(expr: Expr, order: dict[str, str]) -> Expr:
     return Call(expr.op, tuple(_canonical(arg, order) for arg in expr.args))
 
 
-def _picker(positions: Sequence[int]) -> itemgetter:
-    """A getter of the tuple ``(key[p] for p in positions)``."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
-
-
-class _Weights(dict):
-    """A term's signed integer weight, keyed by the basis indices its sign
-    exponent reads (in sorted variable order); the sign of each parity
-    pattern is evaluated once, on first use."""
-
-    def __init__(self, weight: int, sign: SignPoly, names: Sequence[str], parities: Sequence[int]) -> None:
-        super().__init__()
-        self.weight, self.sign, self.names, self.parities = weight, sign, names, parities
-        self.patterns: dict[tuple[int, ...], int] = {}
-
-    def __missing__(self, indices: tuple[int, ...]) -> int:
-        pattern = tuple([self.parities[i] for i in indices])
-        value = self.patterns.get(pattern)
-        if value is None:
-            value = self.patterns[pattern] = self.weight * self.sign.sign(dict(zip(self.names, pattern)))
-        self[indices] = value
-        return value
+def _signs(sign: SignPoly, place: Mapping[str, int]) -> list[int]:
+    """``(-1)**sign`` at each parity mask whose bit ``place[name]`` is the
+    parity of variable ``name``: each monomial, read as the bitmask of its
+    variables, flips the sign at every mask that holds all of its bits."""
+    size = 1 << len(place)
+    signs = [1] * size
+    for monomial in sign.monomials:
+        bits = sum(1 << place[name] for name in monomial)
+        for mask in range(bits, size):
+            if mask & bits == bits:
+                signs[mask] = -signs[mask]
+    return signs
 
 
 def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[tuple]]:
     """The identity's common scale S and, per term, its node, the key position
-    of the identity's first variable, the getters of the identity-ordered
-    tuple and of the sign's indices, and the term's weights.
+    of the identity's first variable, and its :class:`_Coding`.
 
     A term's weight is ``coefficient * S / node.scale``, an integer because S
-    is the lcm of every ``node.scale * coefficient.denominator``."""
-    variables, parities = identity.variables, binding.space.parities
+    is the lcm of every ``node.scale * coefficient.denominator``; its weight
+    at a parity mask is that times its sign there, from one table of
+    :func:`_signs` per distinct sign."""
+    variables = identity.variables
     nodes = [binding.node(term.expr) for term in identity.terms]
     scale = math.lcm(*(node.scale * term.coefficient.denominator for term, (node, _) in zip(identity.terms, nodes)))
+    columns, memo = _columns(binding.space.parities, len(variables)), {}
+    place = {name: v for v, name in enumerate(variables)}
+    signs: dict[SignPoly, list[int]] = {}
     terms = []
     for term, (node, order) in zip(identity.terms, nodes):
+        if term.sign not in signs:
+            signs[term.sign] = _signs(term.sign, place)
         coefficient = term.coefficient
         weight = coefficient.numerator * (scale // (node.scale * coefficient.denominator))
-        names = sorted(term.sign.variables)
-        terms.append((
-            node,
-            order.index(variables[0]),
-            _picker([order.index(var) for var in variables]),
-            _picker([order.index(name) for name in names]),
-            _Weights(weight, term.sign, names, parities),
-        ))
+        coding = _Coding(columns, [place[name] for name in order], [weight * s for s in signs[term.sign]], memo)
+        terms.append((node, order.index(variables[0]), coding))
     return scale, terms
 
 
-def _chunk(terms: list[tuple], index: int) -> dict[tuple[int, ...], dict[int, int]]:
+def _chunk(terms: list[tuple], index: int) -> dict[int, dict[int, int]]:
     """The scaled residues of every tuple whose first variable is basis vector
-    ``index`` and at which some term has a product; they may hold zero entries."""
-    residue: dict[tuple[int, ...], dict[int, int]] = {}
-    for node, position, reorder, signed, weights in terms:
-        node.accumulate((position, index), residue, weights, signed, reorder)
+    ``index`` and at which some term has a product, keyed by code; they may
+    hold zero entries."""
+    residue: dict[int, dict[int, int]] = {}
+    for node, position, coding in terms:
+        node.accumulate((position, index), residue, coding)
     return residue
 
 
@@ -509,13 +543,16 @@ def _element(space: SuperSpace, vector: Mapping[int, int], scale: int) -> Elemen
 def _nonzero(binding: StructureBinding, identity: Identity):
     """Every tuple with a nonzero residue and that residue as an Element,
     keyed by basis-index tuple in the order of ``identity.variables``, in
-    lexicographic order, one chunk at a time."""
-    space = binding.space
+    lexicographic order, one chunk at a time.  A chunk with no nonzero entry
+    is passed over by one test; only a failing chunk sorts its codes."""
+    space, arity = binding.space, identity.arity
     scale, terms = _compile(binding, identity)
     for index in range(space.dim):
         residue = _chunk(terms, index)
-        for indices in sorted([indices for indices, vector in residue.items() if any(vector.values())]):
-            yield indices, _element(space, residue[indices], scale)
+        if not any(map(any, map(dict.values, residue.values()))):
+            continue
+        for code in sorted([code for code, vector in residue.items() if any(vector.values())]):
+            yield _decode(code, space.dim, arity), _element(space, residue[code], scale)
 
 
 def check(binding: StructureBinding, identity: Identity) -> CheckReport:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 import reference
 from conftest import bench_families, graded_structures, oracle_agreement, random_element
@@ -44,7 +44,7 @@ from superbol.structures import (
     is_multiplicative,
     tern_mul,
 )
-from superbol.suites import binding_for, run_suite, suite
+from superbol.suites import SUITE_NAMES, binding_for, run_suite, suite
 
 
 def star_binding(algebra: HomSuperalgebra) -> StructureBinding:
@@ -179,12 +179,35 @@ def test_binding_kernel_is_shared_by_a_suite(ex51):
     assert not shared[0].passed
 
 
+# (passed, counterexample, residue) of every identity of BOL and HOM_BOL on the
+# mutated bol(M(2|1)) below, as the kernel with tuple keys reported them.
+_MUTATED_M21 = {
+    "BOL": [
+        (False, ("e23", "e32"), {"e33": -1}),
+        (False, ("e13", "e31", "e32"), {"e32": -1}),
+        (False, ("e13", "e32", "e31"), {"e32": 1}),
+        (False, ("e11", "e12", "e31", "e23"), {"e33": 1}),
+        (False, ("e11", "e12", "e31", "e13", "e31"), {"e32": 1}),
+    ],
+    "HOM_BOL": [
+        (True, None, None),
+        (True, None, None),
+        (False, ("e23", "e32"), {"e33": -1}),
+        (False, ("e13", "e31", "e32"), {"e32": -1}),
+        (False, ("e13", "e32", "e31"), {"e32": 1}),
+        (False, ("e11", "e12", "e11", "e21"), {"e11": Fraction(40, 3), "e22": Fraction(-40, 3)}),
+        (False, ("e11", "e12", "e11", "e13", "e21"), {"e13": Fraction(35, 9)}),
+    ],
+}
+
+
 def test_kernel_paths_agree_in_any_order():
-    """On a mutated bol(M(2|1)), each suite's identities checked on one
-    binding, forward or in reverse, give the reports of fresh bindings.
-    Forward, ``[x,y]`` and ``{x,y,z}`` are top nodes before any table is
-    kept; in reverse, they are top nodes read from the tables that
-    ``ternary_derivation`` and ``binary_ternary_compat`` kept."""
+    """On a mutated bol(M(2|1)) (dim 9), each suite's identities give the
+    pinned reports of ``_MUTATED_M21``, and checked on one binding, forward
+    or in reverse, the reports of fresh bindings.  Forward, ``[x,y]`` and
+    ``{x,y,z}`` are top nodes before any table is kept; in reverse, they are
+    top nodes read from the tables that ``ternary_derivation`` and
+    ``binary_ternary_compat`` kept."""
     families = bench_families()
     bol = bol_from_right_alternative(families.matrix_superalgebra(2, 1), Convention.UNIT, checked=False)
     space, index = bol.space, bol.space.index
@@ -197,7 +220,11 @@ def test_kernel_paths_agree_in_any_order():
         mutated = HomBinaryTernary(BinaryStructure(space, binary), TernaryStructure(space, ternary), twist)
         spec = suite(name)
         fresh = [check(binding_for(mutated, spec), identity) for identity in spec.identities]
-        assert sum(not report.passed for report in fresh) >= 4, name
+        pinned = [
+            (passed, counterexample, None if residue is None else space.element(residue))
+            for passed, counterexample, residue in _MUTATED_M21[name]
+        ]
+        assert [(report.passed, report.counterexample, report.residue) for report in fresh] == pinned, name
         binding = binding_for(mutated, spec)
         assert [check(binding, identity) for identity in spec.identities] == fresh, name
         binding = binding_for(mutated, spec)
@@ -220,13 +247,62 @@ def test_identity_twist_compiles_to_no_powers(ex51, ex51_bol, monkeypatch):
     assert run_suite(ex51_bol, "BOL").passed
 
 
+@st.composite
+def _code_cases(draw):
+    """Parities of a space of dim <= 12, the identity positions of a term's
+    n <= 6 key positions, and two index tuples in identity order."""
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+    n = draw(st.integers(1, 6))
+    indices = st.tuples(*[st.integers(0, len(parities) - 1)] * n)
+    return parities, draw(st.permutations(range(n))), draw(indices), draw(indices)
+
+
+@given(_code_cases())
+def test_codes_pack_tuples_in_lexicographic_order(case):
+    """A tuple's code, read off the term's key positions in any order,
+    decodes to the tuple in identity order, sorts as the tuple does, and
+    holds the tuple's parities in its mask bits."""
+    parities, positions, first, second = case
+    dim, n = len(parities), len(positions)
+    coding = engine._Coding(engine._columns(parities, n), positions, [1] * (1 << n), {})
+
+    def code(indices):
+        key = [indices[v] for v in positions]
+        return sum(coding.codes[p][i] for p, i in enumerate(key))
+
+    for indices in (first, second):
+        assert engine._decode(code(indices), dim, n) == indices
+        assert code(indices) & coding.mask == sum(parities[i] << v for v, i in enumerate(indices))
+    assert (code(first) < code(second)) == (first < second)
+    assert (code(first) == code(second)) == (first == second)
+
+
+def test_sign_tables_are_exact():
+    """Every term of every suite identity weighs ``coefficient * S /
+    node.scale`` times its sign at each parity mask, the mask's bit v being
+    the parity of the identity's v-th variable."""
+    for name in SUITE_NAMES:
+        spec = suite(name)
+        binding = binding_for(_MIXED_DENOMINATORS, spec)
+        for identity in spec.identities:
+            scale, compiled = engine._compile(binding, identity)
+            n = identity.arity
+            assert len(compiled) == len(identity.terms)
+            for term, (node, _, coding) in zip(identity.terms, compiled):
+                assert len(coding.weights) == 1 << n and coding.mask == (1 << n) - 1
+                for mask in range(1 << n):
+                    parities = {var: mask >> v & 1 for v, var in enumerate(identity.variables)}
+                    expected = term.coefficient * scale / node.scale * term.sign.sign(parities)
+                    assert coding.weights[mask] == expected, (name, identity.name, mask)
+
+
 _ORACLE = ("evaluate_on_elements", "_evaluate_expr", "_term_residue", "_twist_powers")
 
 
 def test_oracle_shares_nothing_with_the_kernel():
-    """The element-level oracle names no kernel helper, node class, node
-    method or table, and reads no binding attribute but ``space``, ``op`` and
-    ``twist``."""
+    """The element-level oracle names no kernel helper, node class, node or
+    coding method or table, and reads no binding attribute but ``space``,
+    ``op`` and ``twist``."""
     tree = ast.parse(inspect.getsource(engine))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     node_classes = {
@@ -241,13 +317,13 @@ def test_oracle_shares_nothing_with_the_kernel():
     methods = {
         item.name
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name in node_classes
+        if isinstance(node, ast.ClassDef) and node.name in node_classes | {"_Coding"}
         for item in node.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
     assert {"_Leaf", "_Binary", "_Ternary"} <= node_classes and tables
-    assert {"_compile", "_chunk", "_components"} <= helpers
-    assert {"rows", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
+    assert {"_compile", "_chunk", "_components", "_Coding", "_columns", "_decode", "_signs"} <= helpers
+    assert {"coded", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
     kernel = {"node", "_build", "_tensor", "_twist_columns"} | helpers | methods | tables
     for name in _ORACLE:
         names = set()
