@@ -1,14 +1,15 @@
 """Built-in fixtures: the shipped multiplication tables and their maps.
 
 All tables are stored at the unit convention (no 1/2 on derived products);
-parameters are instantiated rationals, never symbolic.
+parameters are instantiated rationals, never symbolic.  The bilinear-form
+fixtures import :mod:`constructions` when they are built, so listing and
+emitting the other fixtures loads no engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .constructions import BilinearForm, bilinear_form_triple
 from .core import EvenMap, Scalar, SuperSpace, rational
 from .structures import (
     BinaryStructure,
@@ -131,6 +132,8 @@ def example_3_1() -> HomBinaryTernary:
 
 def form_1_2() -> BilinearForm:
     """Supersymmetric form on a (1|2) space: <e|e>=1, <f1|f2>=1=-<f2|f1>."""
+    from .constructions import BilinearForm
+
     return BilinearForm.from_table(SPACE_FORM, {("e", "e"): 1, ("f1", "f2"): 1})
 
 
@@ -148,6 +151,8 @@ def form_preserving_map() -> EvenMap:
 
 def jordan_form_triple(lam: Scalar = 1) -> HomTripleSystem:
     """The ternary system of form_1_2 at a given scale factor."""
+    from .constructions import bilinear_form_triple
+
     return bilinear_form_triple(form_1_2(), lam)
 
 

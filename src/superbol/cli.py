@@ -4,6 +4,10 @@ Exit codes: 0 all checks passed, 1 an identity or construction precondition
 failed (the report names the suite, identity, counterexample tuple, and
 residue), 2 input or usage error, 3 internal error (an unexpected exception,
 reported on stderr without a traceback).
+
+The module imports only the standard library.  Each command imports the
+superbol modules it runs when it runs, so ``examples`` loads no engine and
+``check`` no constructions.
 """
 
 from __future__ import annotations
@@ -11,36 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .catalog import example_document, example_names
-from .constructions import (
-    ConstructionError,
-    bol_from_right_alternative,
-    hom_bol_from_right_hom_alternative,
-    hom_jordan_triple,
-    jordan_lts_bracket,
-    lie_triple_from_jordan_triple,
-    minus_algebra,
-    nth_derived,
-    plus_algebra,
-    yau_twist_algebra,
-    yau_twist_bol,
-    yau_twist_triple,
-)
-from .operators import verify_operator_lemmas
-from .reports import SuiteReport
-from .storage import (
-    KIND_BINARY,
-    KIND_BOTH,
-    KIND_TERNARY,
-    AlgebraDocument,
-    AlgebraFileError,
-    load,
-    save,
-)
-from .structures import grading_check, is_multiplicative
-from .suites import SUITE_NAMES, run_suite, suite
-
 
 class UsageError(ValueError):
     """Bad command usage or bad input; maps to exit code 2."""
@@ -75,6 +49,8 @@ def _emit_report(report: SuiteReport, as_json: bool) -> int:
 
 
 def _load(path: str) -> AlgebraDocument:
+    from .storage import load
+
     try:
         return load(path)
     except FileNotFoundError:
@@ -83,6 +59,8 @@ def _load(path: str) -> AlgebraDocument:
 
 def _write_derived(source: AlgebraDocument, name: str, structure, path: str) -> int:
     """Save ``structure`` with the source file's maps and convention."""
+    from .storage import AlgebraDocument, save
+
     save(AlgebraDocument(name=name, structure=structure, maps=source.maps, convention=source.convention), path)
     print(f"wrote {path}")
     return 0
@@ -94,6 +72,8 @@ def _require_kind(document: AlgebraDocument, kinds: tuple[str, ...], action: str
 
 
 def cmd_check(args) -> int:
+    from .suites import run_suite, suite
+
     document = _load(args.file)
     try:
         spec = suite(args.suite)
@@ -106,22 +86,36 @@ def cmd_check(args) -> int:
     return _emit_report(report, args.json)
 
 
-# name -> (the file kind it reads, builder(structure, convention, checked)).  Each
-# builder looks its function up by module name when it runs, so a wrapper set
-# on that name (as bench/spans.py sets one) sees the call.
+# storage.KIND_BINARY and storage.KIND_TERNARY, spelled out so that building
+# the parser loads no storage.
+_KIND_BINARY, _KIND_TERNARY = "hom_superalgebra", "hom_triple"
+
+# name -> (the file kind it reads, builder(constructions module, structure,
+# convention, checked)).  Each builder looks its function up on the module
+# when it runs, so a wrapper set on that name (as bench/spans.py sets one)
+# sees the call.
 _CONSTRUCTIONS = {
-    "minus": (KIND_BINARY, lambda structure, conv, checked: minus_algebra(structure, conv)),
-    "plus": (KIND_BINARY, lambda structure, conv, checked: plus_algebra(structure, conv)),
-    "jordan_lts": (KIND_BINARY, lambda structure, conv, checked: jordan_lts_bracket(structure, checked=checked)),
-    "bol": (KIND_BINARY, lambda structure, conv, checked: bol_from_right_alternative(structure, conv, checked=checked)),
-    "hom_jordan_triple": (KIND_BINARY, lambda structure, conv, checked: hom_jordan_triple(structure, checked=checked)),
+    "minus": (_KIND_BINARY, lambda C, structure, conv, checked: C.minus_algebra(structure, conv)),
+    "plus": (_KIND_BINARY, lambda C, structure, conv, checked: C.plus_algebra(structure, conv)),
+    "jordan_lts": (
+        _KIND_BINARY,
+        lambda C, structure, conv, checked: C.jordan_lts_bracket(structure, checked=checked),
+    ),
+    "bol": (
+        _KIND_BINARY,
+        lambda C, structure, conv, checked: C.bol_from_right_alternative(structure, conv, checked=checked),
+    ),
+    "hom_jordan_triple": (
+        _KIND_BINARY,
+        lambda C, structure, conv, checked: C.hom_jordan_triple(structure, checked=checked),
+    ),
     "hom_bol": (
-        KIND_BINARY,
-        lambda structure, conv, checked: hom_bol_from_right_hom_alternative(structure, conv, checked=checked),
+        _KIND_BINARY,
+        lambda C, structure, conv, checked: C.hom_bol_from_right_hom_alternative(structure, conv, checked=checked),
     ),
     "lie_triple": (
-        KIND_TERNARY,
-        lambda structure, conv, checked: lie_triple_from_jordan_triple(structure, checked=checked),
+        _KIND_TERNARY,
+        lambda C, structure, conv, checked: C.lie_triple_from_jordan_triple(structure, checked=checked),
     ),
 }
 
@@ -131,14 +125,19 @@ def cmd_construct(args) -> int:
         raise UsageError(
             f"unknown construction {args.name!r}; available: {', '.join(sorted(_CONSTRUCTIONS))}"
         )
+    from . import constructions
+
     kind, build = _CONSTRUCTIONS[args.name]
     document = _load(args.file)
     _require_kind(document, (kind,), f"construct {args.name}")
-    built = build(document.structure, document.convention, not args.unchecked)
+    built = build(constructions, document.structure, document.convention, not args.unchecked)
     return _write_derived(document, f"{args.name}({document.name})", built, args.output)
 
 
 def cmd_twist(args) -> int:
+    from .constructions import yau_twist_algebra, yau_twist_bol, yau_twist_triple
+    from .storage import KIND_BOTH, KIND_TERNARY
+
     document = _load(args.file)
     if args.map not in document.maps:
         available = ", ".join(sorted(document.maps)) or "none"
@@ -156,6 +155,9 @@ def cmd_twist(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .constructions import nth_derived
+    from .storage import KIND_BOTH
+
     document = _load(args.file)
     _require_kind(document, (KIND_BOTH,), "derive")
     if args.n < 0:
@@ -165,6 +167,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from .operators import verify_operator_lemmas
+    from .storage import KIND_BINARY
+
     document = _load(args.file)
     _require_kind(document, (KIND_BINARY,), "lemmas")
     try:
@@ -176,6 +181,8 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .catalog import example_document, example_names
+
     if args.list or not args.emit:
         for name in example_names():
             print(name)
@@ -186,12 +193,16 @@ def cmd_examples(args) -> int:
         document = example_document(args.emit)
     except (KeyError, ValueError) as exc:
         raise UsageError(exc.args[0]) from exc
+    from .storage import save
+
     save(document, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_info(args) -> int:
+    from .structures import grading_check, is_multiplicative
+
     document = _load(args.file)
     structure = document.structure
     space = document.space
@@ -212,6 +223,8 @@ def cmd_info(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .suites import SUITE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="superbol",
         description="Verify and construct graded binary-ternary algebra models by structure constants.",
@@ -264,6 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (module, exception class, exit code, stderr prefix) of the library errors a
+# command may let through.  Only a module the command loaded can have raised one.
+_LIBRARY_ERRORS = (
+    ("storage", "AlgebraFileError", 2, "error"),
+    ("constructions", "ConstructionError", 1, "precondition failed"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -272,16 +293,18 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (UsageError, AlgebraFileError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConstructionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        for module, name, code, prefix in _LIBRARY_ERRORS:
+            loaded = sys.modules.get(f"{__package__}.{module}")
+            if loaded is not None and isinstance(exc, getattr(loaded, name)):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -175,6 +175,33 @@ def variable_counts(expr: Expr, counts: dict[str, int]) -> None:
             variable_counts(arg, counts)
 
 
+def leaf_weights(expr: Expr, twist_weight: int) -> list[dict[str, int]]:
+    """Each variable's weight in each monomial of ``expr``, ``as`` expanded.
+
+    ``as(a,b,c)`` expands to ``(a*b)*A(c)`` and ``A(a)*(b*c)``.  A variable's
+    weight sums, along its path from the root, 1 per binary argument, 2 per
+    ternary argument and ``twist_weight`` per power of the twist.  A Hom
+    identity can hold in a free multiplicative Hom-algebra only if all of its
+    monomials give each variable one weight.
+    """
+    if isinstance(expr, Var):
+        return [{expr.name: 0}]
+    if isinstance(expr, Twist):
+        shift = expr.power * twist_weight
+        return [{v: w + shift for v, w in m.items()} for m in leaf_weights(expr.arg, twist_weight)]
+    if expr.op == ASSOC:
+        a, b, c = expr.args
+        left = Call(STAR, (Call(STAR, (a, b)), Twist(1, c)))
+        right = Call(STAR, (Twist(1, a), Call(STAR, (b, c))))
+        return leaf_weights(left, twist_weight) + leaf_weights(right, twist_weight)
+    step = len(expr.args) - 1
+    monomials: list[dict[str, int]] = [{}]
+    for arg in expr.args:
+        monomials = [{**m, **{v: w + step for v, w in n.items()}}
+                     for m in monomials for n in leaf_weights(arg, twist_weight)]
+    return monomials
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "int" | "ident" | one of the punctuation characters

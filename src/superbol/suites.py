@@ -16,17 +16,23 @@ twist.
 The graded (anti)symmetrization is defined here once, as a term sum the
 engine tabulates; the lemma bindings and the constructions both build it
 with :func:`graded_product`.
+
+A suite is declared as (name, text) pairs and parsed on its first
+:func:`suite` lookup; later lookups return the same :class:`SuiteSpec`.
+Importing this module parses only the two derived-product identities and
+loads no engine, which the binding and checking functions import when they
+run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .core import Element, EvenMap, SuperSpace
 from .dsl import STAR, Identity, parse_identity
-from .engine import StructureBinding, check, tabulate
 from .reports import SuiteReport
 from .structures import (
     BINARY_MULTIPLICATIVITY,
@@ -58,11 +64,9 @@ SUPERCOMMUTATOR = parse_identity(_SUPERCOMMUTATOR_TEXT, name="supercommutator")
 SUPER_JORDAN = parse_identity("(x*y) + (-1)^{x.y} (y*x) = 0", name="super_jordan")
 
 
-def _ids(*pairs: tuple[str, str]) -> tuple[Identity, ...]:
-    return tuple(parse_identity(text, name=name) for name, text in pairs)
-
-
-_RIGHT_ALT_IDS = _ids(
+# Each suite's identities are declared as (name, text) pairs, or as an
+# identity parsed elsewhere, and parsed on the suite's first lookup.
+_RIGHT_ALT_IDS = (
     (
         "right_superalternativity",
         "as(x,y,z) + (-1)^{y.z} as(x,z,y) = 0",
@@ -73,16 +77,16 @@ _RIGHT_ALT_IDS = _ids(
     ),
 )
 
-_LEFT_ALT_ID = _ids(
+_LEFT_ALT_ID = (
     (
         "left_superalternativity",
         "as(x,y,z) + (-1)^{x.y} as(y,x,z) = 0",
     ),
 )
 
-_SUPERCOMMUTATIVITY = _ids(("supercommutativity", _SUPERCOMMUTATOR_TEXT))
+_SUPERCOMMUTATIVITY = (("supercommutativity", _SUPERCOMMUTATOR_TEXT),)
 
-_JORDAN_SUPERIDENTITY = _ids(
+_JORDAN_SUPERIDENTITY = (
     (
         "jordan_superidentity",
         "(-1)^{z.x + z.w} as((x*y),w,z)"
@@ -91,7 +95,7 @@ _JORDAN_SUPERIDENTITY = _ids(
     ),
 )
 
-_HOM_JORDAN_SUPERIDENTITY = _ids(
+_HOM_JORDAN_SUPERIDENTITY = (
     (
         "jordan_superidentity_twisted",
         "(-1)^{t.x + t.z} as((x*y),A(z),A(t))"
@@ -121,7 +125,7 @@ _TERNARY_DERIVATION = (
     " - (-1)^{x.u + x.v + y.u + y.v} {u,v,{x,y,w}} = 0",
 )
 
-_BOL_IDS = _ids(
+_BOL_IDS = (
     _SKEW_BINARY,
     _SKEW_TERNARY,
     _TERNARY_CYCLIC,
@@ -134,7 +138,7 @@ _BOL_IDS = _ids(
     _TERNARY_DERIVATION,
 )
 
-_HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + _ids(
+_HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + (
     _SKEW_BINARY,
     _SKEW_TERNARY,
     _TERNARY_CYCLIC,
@@ -152,12 +156,12 @@ _HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + _ids(
     ),
 )
 
-_LIE_TRIPLE_IDS = _ids(_SKEW_TERNARY, _TERNARY_CYCLIC, _TERNARY_DERIVATION)
+_LIE_TRIPLE_IDS = (_SKEW_TERNARY, _TERNARY_CYCLIC, _TERNARY_DERIVATION)
 
 # A twisted ternary system carries one twist map; it stands in for the squared
 # twist an ambient binary-ternary structure would supply in the derivation
 # axiom, matching how such systems arise as the zero-bracket special case.
-_HOM_LIE_TRIPLE_IDS = _ids(
+_HOM_LIE_TRIPLE_IDS = (
     _SKEW_TERNARY,
     _TERNARY_CYCLIC,
     (
@@ -173,7 +177,7 @@ _OUTER_SUPERSYMMETRY = (
     "<x,y,z> - (-1)^{x.y + x.z + y.z} <z,y,x> = 0",
 )
 
-_JORDAN_TRIPLE_IDS = _ids(
+_JORDAN_TRIPLE_IDS = (
     _OUTER_SUPERSYMMETRY,
     (
         "triple_identity",
@@ -183,7 +187,7 @@ _JORDAN_TRIPLE_IDS = _ids(
     ),
 )
 
-_HOM_JORDAN_TRIPLE_IDS = _ids(
+_HOM_JORDAN_TRIPLE_IDS = (
     _OUTER_SUPERSYMMETRY,
     (
         "triple_identity_twisted",
@@ -193,7 +197,7 @@ _HOM_JORDAN_TRIPLE_IDS = _ids(
     ),
 )
 
-_LEMMA_2_4_IDS = _ids(
+_LEMMA_2_4_IDS = (
     (
         "bracket_associator_expansion",
         "as([w,x],y,z) - [w,as(x,y,z)] - (-1)^{x.y + x.z} [as(w,y,z),x]"
@@ -201,7 +205,7 @@ _LEMMA_2_4_IDS = _ids(
     ),
 )
 
-_LEMMA_2_6_IDS = _ids(
+_LEMMA_2_6_IDS = (
     (
         "bracket_associator_expansion_twisted",
         "as([w,x],A(y),A(z)) - [A^2(w),as(x,y,z)] - (-1)^{x.y + x.z} [as(w,y,z),A^2(x)]"
@@ -209,7 +213,7 @@ _LEMMA_2_6_IDS = _ids(
     ),
 )
 
-_EQ_2_7_IDS = _ids(
+_EQ_2_7_IDS = (
     (
         "product_associator_expansion",
         "as((w*x),A(y),A(z)) - (-1)^{x.y + x.z} (as(w,y,z)*A^2(x))"
@@ -217,7 +221,7 @@ _EQ_2_7_IDS = _ids(
     ),
 )
 
-_EQ_4_7_IDS = _ids(
+_EQ_4_7_IDS = (
     (
         "symmetrized_associator_expansion",
         "as(A(z),A(t),o(x,y)) - (-1)^{x.y} (as(z,t,y)*A^2(x))"
@@ -226,7 +230,7 @@ _EQ_4_7_IDS = _ids(
     ),
 )
 
-_EQ_3_2_IDS = _ids(
+_EQ_3_2_IDS = (
     (
         "derived_ternary_closed_form",
         "2 (-1)^{x.y + x.z} o(o(y,z),x) - 2 (-1)^{x.y + x.z} o(y,o(z,x))"
@@ -234,7 +238,7 @@ _EQ_3_2_IDS = _ids(
     ),
 )
 
-_EQ_7_10_IDS = _ids(
+_EQ_7_10_IDS = (
     (
         "derived_ternary_closed_form_twisted",
         "o(o(x,y),A(z)) + o(A(x),o(y,z)) - (-1)^{x.y} o(A(y),o(x,z))"
@@ -250,39 +254,49 @@ _ANGLE_ONLY = (("<>", BIND_TERNARY),)
 _STAR_BRACKET = (("*", BIND_BINARY), ("[]", SUPERCOMMUTATOR))
 _STAR_BRACKET_JORDAN = _STAR_BRACKET + (("o", SUPER_JORDAN),)
 
-_SUITES: dict[str, SuiteSpec] = {
-    spec.name: spec
-    for spec in (
-        SuiteSpec("RIGHT_ALT", _RIGHT_ALT_IDS, _STAR_ONLY, TWIST_IDENTITY),
-        SuiteSpec("RIGHT_HOM_ALT", _RIGHT_ALT_IDS, _STAR_ONLY, TWIST_STRUCTURE),
-        SuiteSpec("HOM_ALT", (_RIGHT_ALT_IDS[0],) + _LEFT_ALT_ID, _STAR_ONLY, TWIST_STRUCTURE),
-        SuiteSpec("JORDAN", _SUPERCOMMUTATIVITY + _JORDAN_SUPERIDENTITY, _STAR_ONLY, TWIST_IDENTITY),
-        SuiteSpec("HOM_JORDAN", _SUPERCOMMUTATIVITY + _HOM_JORDAN_SUPERIDENTITY, _STAR_ONLY, TWIST_STRUCTURE),
-        SuiteSpec("SUPERCOMMUTATIVE", _SUPERCOMMUTATIVITY, _STAR_ONLY, TWIST_STRUCTURE),
-        SuiteSpec("BOL", _BOL_IDS, _BOL_BINDINGS, TWIST_IDENTITY),
-        SuiteSpec("HOM_BOL", _HOM_BOL_IDS, _BOL_BINDINGS, TWIST_STRUCTURE),
-        SuiteSpec("LIE_TRIPLE", _LIE_TRIPLE_IDS, _TERNARY_ONLY, TWIST_IDENTITY),
-        SuiteSpec("HOM_LIE_TRIPLE", _HOM_LIE_TRIPLE_IDS, _TERNARY_ONLY, TWIST_STRUCTURE),
-        SuiteSpec("JORDAN_TRIPLE", _JORDAN_TRIPLE_IDS, _ANGLE_ONLY, TWIST_IDENTITY),
-        SuiteSpec("HOM_JORDAN_TRIPLE", _HOM_JORDAN_TRIPLE_IDS, _ANGLE_ONLY, TWIST_STRUCTURE),
-        SuiteSpec("LEMMA_2_4", _LEMMA_2_4_IDS, _STAR_BRACKET, TWIST_IDENTITY),
-        SuiteSpec("LEMMA_2_6", _LEMMA_2_6_IDS, _STAR_BRACKET, TWIST_STRUCTURE),
-        SuiteSpec("EQ_2_7", _EQ_2_7_IDS, _STAR_BRACKET, TWIST_STRUCTURE),
-        SuiteSpec("EQ_4_7", _EQ_4_7_IDS, _STAR_BRACKET_JORDAN, TWIST_STRUCTURE),
-        SuiteSpec("EQ_3_2", _EQ_3_2_IDS, _STAR_BRACKET_JORDAN, TWIST_IDENTITY),
-        SuiteSpec("EQ_7_10", _EQ_7_10_IDS, _STAR_BRACKET_JORDAN, TWIST_STRUCTURE),
-    )
+# name -> (identities, bindings, twist mode)
+_DECLARED = {
+    "RIGHT_ALT": (_RIGHT_ALT_IDS, _STAR_ONLY, TWIST_IDENTITY),
+    "RIGHT_HOM_ALT": (_RIGHT_ALT_IDS, _STAR_ONLY, TWIST_STRUCTURE),
+    "HOM_ALT": ((_RIGHT_ALT_IDS[0],) + _LEFT_ALT_ID, _STAR_ONLY, TWIST_STRUCTURE),
+    "JORDAN": (_SUPERCOMMUTATIVITY + _JORDAN_SUPERIDENTITY, _STAR_ONLY, TWIST_IDENTITY),
+    "HOM_JORDAN": (_SUPERCOMMUTATIVITY + _HOM_JORDAN_SUPERIDENTITY, _STAR_ONLY, TWIST_STRUCTURE),
+    "SUPERCOMMUTATIVE": (_SUPERCOMMUTATIVITY, _STAR_ONLY, TWIST_STRUCTURE),
+    "BOL": (_BOL_IDS, _BOL_BINDINGS, TWIST_IDENTITY),
+    "HOM_BOL": (_HOM_BOL_IDS, _BOL_BINDINGS, TWIST_STRUCTURE),
+    "LIE_TRIPLE": (_LIE_TRIPLE_IDS, _TERNARY_ONLY, TWIST_IDENTITY),
+    "HOM_LIE_TRIPLE": (_HOM_LIE_TRIPLE_IDS, _TERNARY_ONLY, TWIST_STRUCTURE),
+    "JORDAN_TRIPLE": (_JORDAN_TRIPLE_IDS, _ANGLE_ONLY, TWIST_IDENTITY),
+    "HOM_JORDAN_TRIPLE": (_HOM_JORDAN_TRIPLE_IDS, _ANGLE_ONLY, TWIST_STRUCTURE),
+    "LEMMA_2_4": (_LEMMA_2_4_IDS, _STAR_BRACKET, TWIST_IDENTITY),
+    "LEMMA_2_6": (_LEMMA_2_6_IDS, _STAR_BRACKET, TWIST_STRUCTURE),
+    "EQ_2_7": (_EQ_2_7_IDS, _STAR_BRACKET, TWIST_STRUCTURE),
+    "EQ_4_7": (_EQ_4_7_IDS, _STAR_BRACKET_JORDAN, TWIST_STRUCTURE),
+    "EQ_3_2": (_EQ_3_2_IDS, _STAR_BRACKET_JORDAN, TWIST_IDENTITY),
+    "EQ_7_10": (_EQ_7_10_IDS, _STAR_BRACKET_JORDAN, TWIST_STRUCTURE),
 }
 
-SUITE_NAMES = tuple(_SUITES)
+SUITE_NAMES = tuple(_DECLARED)
 
 
 def suite(name: str) -> SuiteSpec:
     """Look up a suite by its registry name (case-insensitive)."""
     key = name.upper()
-    if key not in _SUITES:
+    if key not in _DECLARED:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
-    return _SUITES[key]
+    return _spec(key)
+
+
+@functools.cache
+def _spec(key: str) -> SuiteSpec:
+    declared, bindings, twist_mode = _DECLARED[key]
+    return SuiteSpec(key, _parsed(declared), bindings, twist_mode)
+
+
+@functools.cache
+def _parsed(declared: tuple) -> tuple[Identity, ...]:
+    """The identities of one declaration; suites that share it share the tuple."""
+    return tuple(item if isinstance(item, Identity) else parse_identity(item[1], name=item[0]) for item in declared)
 
 
 def tabulated(
@@ -290,6 +304,8 @@ def tabulated(
 ) -> dict[tuple[int, ...], Element]:
     """Structure constants of the product defined by ``identity``'s term sum,
     its symbols bound to ``ops`` and its twist to ``twist`` (default identity)."""
+    from .engine import StructureBinding, tabulate
+
     space = next(iter(ops.values())).space
     return tabulate(StructureBinding(space, ops, EvenMap.identity(space) if twist is None else twist), identity)
 
@@ -306,6 +322,8 @@ def graded_product(binary: BinaryStructure, conv: Convention, product: Identity)
 
 def binding_for(structure: HomStructure, spec: SuiteSpec) -> StructureBinding:
     """Derive the operation bindings the suite expects from a structure."""
+    from .engine import StructureBinding
+
     space: SuperSpace = structure.space
     ops = {}
     for symbol, source in spec.bindings:
@@ -321,6 +339,8 @@ def binding_for(structure: HomStructure, spec: SuiteSpec) -> StructureBinding:
 
 def run_suite(structure: HomStructure, name: str) -> SuiteReport:
     """Bind a structure per the suite's rules and check every identity."""
+    from .engine import check
+
     spec = suite(name)
     binding = binding_for(structure, spec)
     return SuiteReport(suite=spec.name, reports=tuple(check(binding, identity) for identity in spec.identities))

@@ -1,6 +1,10 @@
 import importlib.util
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +33,21 @@ def bench_families():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fresh_env() -> dict:
+    """The environment of a child interpreter that imports superbol from ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_fresh(code: str, *args: str):
+    """Run ``code`` in a new interpreter with ``args`` as ``sys.argv[1:]``; the
+    last line it prints is JSON, returned parsed."""
+    done = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.fixture

@@ -214,3 +214,10 @@ def test_unexpected_exception_is_an_internal_error(ex51_file, monkeypatch, capsy
     code, _, err = run(capsys, "info", str(ex51_file))
     assert code == 3
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+def test_construction_kinds_are_storage_kinds():
+    import superbol.cli as cli
+    from superbol import storage
+
+    assert (cli._KIND_BINARY, cli._KIND_TERNARY) == (storage.KIND_BINARY, storage.KIND_TERNARY)

@@ -19,6 +19,7 @@ from superbol.dsl import (
     SignPoly,
     Twist,
     Var,
+    leaf_weights,
     parse_identity,
 )
 from superbol.engine import StructureBinding, UnboundSymbolError, check
@@ -175,3 +176,17 @@ def test_signpoly_sum_multiplies_signs(p, q, env):
 def test_signpoly_self_sum_vanishes(p, env):
     assert (p + p).evaluate(env) == 0
     assert (p + p).sign(env) == 1
+
+
+def test_leaf_weights_expand_the_associator():
+    (term,) = parse_identity("as(x,y,z) = 0").terms
+    assert leaf_weights(term.expr, 1) == [{"x": 2, "y": 2, "z": 2}, {"x": 2, "y": 2, "z": 2}]
+    assert leaf_weights(term.expr, 2) == [{"x": 2, "y": 2, "z": 3}, {"x": 3, "y": 2, "z": 2}]
+
+
+def test_leaf_weights_count_ternary_arguments_twice():
+    (term,) = parse_identity("{x,A^2(y),(u*as(v,w,t))} = 0").terms
+    assert leaf_weights(term.expr, 3) == [
+        {"x": 2, "y": 8, "u": 3, "v": 5, "w": 5, "t": 7},
+        {"x": 2, "y": 8, "u": 3, "v": 7, "w": 5, "t": 5},
+    ]
