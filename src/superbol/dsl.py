@@ -14,7 +14,10 @@ Grammar (ASCII, whitespace insignificant)::
 ``A`` is the twist symbol (``A^k`` its k-fold composition), ``*`` the bound
 binary product, ``[.,.]`` the bound bracket, ``o`` the bound symmetrized
 product, ``{.,.,.}`` and ``<.,.,.>`` the two ternary symbols.  ``as(a,b,c)``
-abbreviates ``((a*b)*A(c)) - (A(a)*(b*c))``.  In a sign exponent, ``x.y``
+abbreviates ``((a*b)*A(c)) - (A(a)*(b*c))``: the parser expands it, and
+distributes the two sides through any enclosing product or twist, so a term
+holding an ``as`` becomes two terms, the ``((a*b)*A(c))`` side first, and no
+parsed expression holds an ``as`` call.  In a sign exponent, ``x.y``
 denotes the product of the parities of the values bound to x and y, and
 ``x`` alone denotes the parity of x; exponents are read mod 2.
 ``SignPoly.parse`` reads a bare exponent by the same ``signpoly`` rule.
@@ -27,6 +30,8 @@ stated precondition.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -147,10 +152,7 @@ class Identity:
         return len(self.variables)
 
     def max_twist_power(self) -> int:
-        deepest = 0
-        for term in self.terms:
-            deepest = max(deepest, _max_twist(term.expr))
-        return deepest
+        return max((_max_twist(term.expr) for term in self.terms), default=0)
 
 
 def _max_twist(expr: Expr) -> int:
@@ -158,10 +160,7 @@ def _max_twist(expr: Expr) -> int:
         return 0
     if isinstance(expr, Twist):
         return max(expr.power, _max_twist(expr.arg))
-    deepest = 1 if expr.op == ASSOC else 0
-    for arg in expr.args:
-        deepest = max(deepest, _max_twist(arg))
-    return deepest
+    return max(map(_max_twist, expr.args))
 
 
 def variable_counts(expr: Expr, counts: dict[str, int]) -> None:
@@ -175,31 +174,20 @@ def variable_counts(expr: Expr, counts: dict[str, int]) -> None:
             variable_counts(arg, counts)
 
 
-def leaf_weights(expr: Expr, twist_weight: int) -> list[dict[str, int]]:
-    """Each variable's weight in each monomial of ``expr``, ``as`` expanded.
-
-    ``as(a,b,c)`` expands to ``(a*b)*A(c)`` and ``A(a)*(b*c)``.  A variable's
-    weight sums, along its path from the root, 1 per binary argument, 2 per
-    ternary argument and ``twist_weight`` per power of the twist.  A Hom
-    identity can hold in a free multiplicative Hom-algebra only if all of its
-    monomials give each variable one weight.
+def leaf_weights(expr: Expr, twist_weight: int) -> dict[str, int]:
+    """Each variable's weight in ``expr``: the sum, along its path from the
+    root, of 1 per binary argument, 2 per ternary argument and
+    ``twist_weight`` per power of the twist.  A Hom identity can hold in a
+    free multiplicative Hom-algebra only if all of its terms give each
+    variable one weight.
     """
     if isinstance(expr, Var):
-        return [{expr.name: 0}]
+        return {expr.name: 0}
     if isinstance(expr, Twist):
         shift = expr.power * twist_weight
-        return [{v: w + shift for v, w in m.items()} for m in leaf_weights(expr.arg, twist_weight)]
-    if expr.op == ASSOC:
-        a, b, c = expr.args
-        left = Call(STAR, (Call(STAR, (a, b)), Twist(1, c)))
-        right = Call(STAR, (Twist(1, a), Call(STAR, (b, c))))
-        return leaf_weights(left, twist_weight) + leaf_weights(right, twist_weight)
+        return {v: w + shift for v, w in leaf_weights(expr.arg, twist_weight).items()}
     step = len(expr.args) - 1
-    monomials: list[dict[str, int]] = [{}]
-    for arg in expr.args:
-        monomials = [{**m, **{v: w + step for v, w in n.items()}}
-                     for m in monomials for n in leaf_weights(arg, twist_weight)]
-    return monomials
+    return {v: w + step for arg in expr.args for v, w in leaf_weights(arg, twist_weight).items()}
 
 
 @dataclass(frozen=True)
@@ -268,7 +256,7 @@ class _Parser:
 
     # identity := sum "=" "0"
     def parse_identity(self) -> list[tuple[Fraction, SignPoly, Expr]]:
-        terms = [self.parse_signedterm(first=True)]
+        terms = self.parse_signedterm()
         while True:
             token = self.peek()
             if token is None:
@@ -277,11 +265,7 @@ class _Parser:
                 break
             if token.kind not in "+-":
                 raise self.error("expected '+', '-', or '='")
-            self.advance()
-            coeff, sign, expr = self.parse_signedterm(first=False)
-            if token.kind == "-":
-                coeff = -coeff
-            terms.append((coeff, sign, expr))
+            terms += self.parse_signedterm()
         self.expect("=")
         zero = self.expect("int")
         if zero.text != "0":
@@ -290,17 +274,17 @@ class _Parser:
             raise self.error("trailing input after '= 0'")
         return terms
 
-    def parse_signedterm(self, first: bool) -> tuple[Fraction, SignPoly, Expr]:
+    def parse_signedterm(self) -> list[tuple[Fraction, SignPoly, Expr]]:
+        """A term and its leading sign, as the terms its expression expands to."""
         coeff = Fraction(1)
-        if first and self.peek() is not None and self.peek().kind in "+-":
+        if self.peek() is not None and self.peek().kind in "+-":
             if self.advance().kind == "-":
                 coeff = -coeff
         token = self.peek()
         if token is not None and token.kind == "int":
             coeff *= self.parse_rational()
         sign = self.try_parse_sign_base()
-        expr = self.parse_expr()
-        return coeff, sign, expr
+        return [(coeff * s, sign, expr) for s, expr in self.parse_expr()]
 
     def parse_rational(self) -> Fraction:
         numerator = int(self.expect("int").text)
@@ -361,7 +345,9 @@ class _Parser:
             raise IdentitySyntaxError(f"{token.text!r} is reserved and cannot name a variable", token.position)
         return token.text
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> list[tuple[int, Expr]]:
+        """The expression as a sum of ``(sign, expr)`` pairs, signs +-1: a
+        single pair unless it holds an ``as``."""
         token = self.peek()
         if token is None:
             raise self.error("expected an expression")
@@ -370,37 +356,36 @@ class _Parser:
                 return self.parse_twist()
             if token.text == ASSOC:
                 self.advance()
-                args = self.parse_args(3, "(", ")")
-                return Call(ASSOC, args)
+                a, b, c = self.parse_args(3, "(", ")")
+                plus = _call(STAR, _call(STAR, a, b), _twist(1, c))
+                minus = _call(STAR, _twist(1, a), _call(STAR, b, c))
+                return plus + [(-s, expr) for s, expr in minus]
             if token.text == JORDAN:
                 self.advance()
-                args = self.parse_args(2, "(", ")")
-                return Call(JORDAN, args)
+                return _call(JORDAN, *self.parse_args(2, "(", ")"))
             self.advance()
-            return Var(token.text)
+            return [(1, Var(token.text))]
         if token.kind == "(":
             self.advance()
             left = self.parse_expr()
             self.expect("*")
             right = self.parse_expr()
             self.expect(")")
-            return Call(STAR, (left, right))
+            return _call(STAR, left, right)
         if token.kind == "[":
             self.advance()
             left = self.parse_expr()
             self.expect(",")
             right = self.parse_expr()
             self.expect("]")
-            return Call(BRACKET, (left, right))
+            return _call(BRACKET, left, right)
         if token.kind == "{":
-            args = self.parse_args(3, "{", "}")
-            return Call(BRACES, args)
+            return _call(BRACES, *self.parse_args(3, "{", "}"))
         if token.kind == "<":
-            args = self.parse_args(3, "<", ">")
-            return Call(ANGLE, args)
+            return _call(ANGLE, *self.parse_args(3, "<", ">"))
         raise self.error("expected an expression")
 
-    def parse_twist(self) -> Expr:
+    def parse_twist(self) -> list[tuple[int, Expr]]:
         self.expect("ident")  # the 'A'
         exponent = 1
         token = self.peek()
@@ -412,16 +397,29 @@ class _Parser:
         self.expect("(")
         arg = self.parse_expr()
         self.expect(")")
-        return Twist(exponent, arg)
+        return _twist(exponent, arg)
 
-    def parse_args(self, count: int, opener: str, closer: str) -> tuple[Expr, ...]:
+    def parse_args(self, count: int, opener: str, closer: str) -> list[list[tuple[int, Expr]]]:
         self.expect(opener)
         args = [self.parse_expr()]
         for _ in range(count - 1):
             self.expect(",")
             args.append(self.parse_expr())
         self.expect(closer)
-        return tuple(args)
+        return args
+
+
+def _call(op: str, *args: list[tuple[int, Expr]]) -> list[tuple[int, Expr]]:
+    """``op`` distributed over its arguments' sums: one call per choice of a
+    pair from each argument, in ``itertools.product`` order, so the call of
+    every argument's first pair comes first."""
+    return [
+        (math.prod(s for s, _ in pick), Call(op, tuple(expr for _, expr in pick))) for pick in itertools.product(*args)
+    ]
+
+
+def _twist(power: int, arg: list[tuple[int, Expr]]) -> list[tuple[int, Expr]]:
+    return [(s, Twist(power, expr)) for s, expr in arg]
 
 
 def build_identity(name: str, variables: tuple[str, ...], terms: tuple[Term, ...], source: str = "") -> Identity:

@@ -15,9 +15,9 @@ node.  The top node of each term is never materialized.  The residue is
 built in chunks, one per basis index of the identity's first variable: each
 term's top node accumulates its signed, weighted values straight into the
 chunk, through the one ``accumulate`` loop of its node kind (a product joins
-in place, a twist maps its argument's accumulated rows, an associator passes
-signed multiples to its two sides, and a node whose table is already kept
-walks it); the same loops, at unit weight, build the kept tables.
+in place, a twist maps its argument's accumulated rows, and a node whose
+table is already kept walks it); the same loops, at unit weight, build the
+kept tables.
 
 Inside a check a tuple is keyed by one integer, its code: the tuple's index
 in the identity's variable order, packed in base d, shifted above n parity
@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Element, EvenMap, SuperSpace, apply_map, power
-from .dsl import ANGLE, ASSOC, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, SignPoly, Twist, Var
+from .dsl import ANGLE, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, SignPoly, Twist, Var
 from .reports import CheckReport
 from .structures import BinaryStructure, ProductTensor, TernaryStructure, bin_mul, tern_mul
 
@@ -160,12 +160,6 @@ class StructureBinding:
             columns = self._twist_columns(expr.power)
             arg = self.node(expr.arg)[0]
             return arg if columns is None else _Twisted(*columns, arg)
-        if expr.op == ASSOC:
-            a, b, c = expr.args
-            return _Difference(
-                self.node(Call(STAR, (Call(STAR, (a, b)), Twist(1, c))))[0],
-                self.node(Call(STAR, (Twist(1, a), Call(STAR, (b, c)))))[0],
-            )
         args = [self.node(arg)[0] for arg in expr.args]
         kind = _Ternary if expr.op in (BRACES, ANGLE) else _Binary
         return kind(*self._tensor(expr.op), args)
@@ -180,13 +174,6 @@ def _evaluate_expr(expr: Expr, env: Mapping[str, Element], binding: StructureBin
         return env[expr.name]
     if isinstance(expr, Twist):
         return apply_map(powers[expr.power], _evaluate_expr(expr.arg, env, binding, powers))
-    if expr.op == ASSOC:
-        star = binding.op(STAR)
-        a, b, c = (_evaluate_expr(arg, env, binding, powers) for arg in expr.args)
-        one = powers[1]
-        return bin_mul(star, bin_mul(star, a, b), apply_map(one, c)) - bin_mul(
-            star, apply_map(one, a), bin_mul(star, b, c)
-        )
     values = [_evaluate_expr(arg, env, binding, powers) for arg in expr.args]
     structure = binding.op(expr.op)
     if expr.op in (BRACES, ANGLE):
@@ -291,12 +278,11 @@ class _Node:
     weighted by ``coding.weights[code & coding.mask]``.  A node whose table
     is kept walks it; otherwise each kind has one loop that computes its
     values straight into the sink: a product joins its arguments' coded
-    tables, adding their codes, a twist maps its argument's accumulated rows
-    through its columns, and an associator passes its sides signed multiples.
-    So a term's top node is never materialized.  ``table()`` builds the kept
-    table with that same loop, at unit weight under codes of the node's own
-    key order over the space's ``parities``, decodes each code back to its
-    tuple once, and keeps it.
+    tables, adding their codes, and a twist maps its argument's accumulated
+    rows through its columns.  So a term's top node is never materialized.
+    ``table()`` builds the kept table with that same loop, at unit weight
+    under codes of the node's own key order over the space's ``parities``,
+    decodes each code back to its tuple once, and keeps it.
     """
 
     __slots__ = ("scale", "width", "parities", "_table", "_slices")
@@ -457,21 +443,6 @@ class _Ternary(_Product):
                                     sink[code] = acc = {}
                                 for target, entry in row:
                                     acc[target] = acc.get(target, 0) + c * entry
-
-
-class _Difference(_Node):
-    """``as(a,b,c)``: ``((a*b)*A(c)) - (A(a)*(b*c))``; both sides read the same
-    key and are brought to the lcm of their scales."""
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: _Node, minus: _Node) -> None:
-        super().__init__(math.lcm(plus.scale, minus.scale), plus.width, plus.parities)
-        self.plus, self.minus = plus, minus
-
-    def _accumulate(self, fix, sink, coding, m):
-        self.plus.accumulate(fix, sink, coding, m * (self.scale // self.plus.scale))
-        self.minus.accumulate(fix, sink, coding, -m * (self.scale // self.minus.scale))
 
 
 def _canonical(expr: Expr, order: dict[str, str]) -> Expr:

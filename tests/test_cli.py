@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from superbol.catalog import form_preserving_map, jordan_form_triple
 from superbol.cli import main
+from superbol.constructions import yau_twist_triple
+from superbol.storage import load
 
 
 def run(capsys, *argv):
@@ -148,6 +151,49 @@ def test_twist_past_the_int_digit_limit_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and "cannot write rational" in err and "Traceback" not in err
     assert out == "" and not out_path.exists()
+
+
+def test_twist_of_a_triple_flow(tmp_path, capsys):
+    src = tmp_path / "triple.json"
+    assert run(capsys, "examples", "--emit", "jordan_form_triple", "-o", str(src))[0] == 0
+    out_path = tmp_path / "twisted.json"
+    code, _, _ = run(capsys, "twist", str(src), "--map", "form_preserving", "-n", "1", "-o", str(out_path))
+    assert code == 0
+    assert load(str(out_path)).structure == yau_twist_triple(jordan_form_triple(), form_preserving_map())
+    code, out, _ = run(capsys, "check", str(out_path), "--suite", "HOM_JORDAN_TRIPLE")
+    assert code == 0 and "2/2 checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "example,argv,message",
+    [
+        ("example_5_1", ["derive", "{src}", "-o", "{out}"], "derive needs a file of kind hom_binary_ternary"),
+        ("jordan_form_triple", ["lemmas", "{src}"], "lemmas needs a file of kind hom_superalgebra"),
+        (
+            "example_5_1",
+            ["construct", "lie_triple", "{src}", "-o", "{out}"],
+            "construct lie_triple needs a file of kind hom_triple",
+        ),
+        (
+            "example_5_1",
+            ["twist", "{src}", "--map", "beta_star", "-n", "0", "-o", "{out}"],
+            "twisting exponent -n must be positive",
+        ),
+        ("example_5_1_hombol(2,0)", ["derive", "{src}", "-n", "-1", "-o", "{out}"], "-n must be nonnegative"),
+        (None, ["examples", "--emit", "example_5_1"], "--emit requires -o OUT"),
+        (None, ["examples", "--emit", "example_5_1", "-o", "{missing}"], "No such file or directory"),
+    ],
+)
+def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, example, argv, message):
+    src = tmp_path / "src.json"
+    if example is not None:
+        assert run(capsys, "examples", "--emit", example, "-o", str(src))[0] == 0
+    written = sorted(tmp_path.rglob("*"))
+    paths = {"src": src, "out": tmp_path / "out.json", "missing": tmp_path / "missing" / "out.json"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == "" and sorted(tmp_path.rglob("*")) == written
 
 
 def test_lemmas_flow(ex51_file, tmp_path, capsys):

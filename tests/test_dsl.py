@@ -28,13 +28,12 @@ from superbol.engine import StructureBinding, UnboundSymbolError, check
 def test_parse_right_superalternativity():
     identity = parse_identity("as(x,y,z) + (-1)^{y.z} as(x,z,y) = 0")
     assert identity.variables == ("x", "y", "z")
-    assert len(identity.terms) == 2
-    first, second = identity.terms
-    assert first.coefficient == 1 and first.sign == SignPoly.zero()
-    assert second.coefficient == 1
-    assert second.sign.evaluate({"y": 1, "z": 1}) == 1
-    assert second.sign.evaluate({"y": 1, "z": 0}) == 0
-    assert isinstance(first.expr, Call) and first.expr.op == "as"
+    assert [term.coefficient for term in identity.terms] == [1, -1, 1, -1]
+    first, _, third, _ = identity.terms
+    assert first.sign == SignPoly.zero()
+    assert third.sign.evaluate({"y": 1, "z": 1}) == 1
+    assert third.sign.evaluate({"y": 1, "z": 0}) == 0
+    assert first.expr == Call(STAR, (Call(STAR, (Var("x"), Var("y"))), Twist(1, Var("z"))))
 
 
 def test_parse_bracket_skew():
@@ -179,14 +178,14 @@ def test_signpoly_self_sum_vanishes(p, env):
 
 
 def test_leaf_weights_expand_the_associator():
-    (term,) = parse_identity("as(x,y,z) = 0").terms
-    assert leaf_weights(term.expr, 1) == [{"x": 2, "y": 2, "z": 2}, {"x": 2, "y": 2, "z": 2}]
-    assert leaf_weights(term.expr, 2) == [{"x": 2, "y": 2, "z": 3}, {"x": 3, "y": 2, "z": 2}]
+    terms = parse_identity("as(x,y,z) = 0").terms
+    assert [leaf_weights(term.expr, 1) for term in terms] == [{"x": 2, "y": 2, "z": 2}, {"x": 2, "y": 2, "z": 2}]
+    assert [leaf_weights(term.expr, 2) for term in terms] == [{"x": 2, "y": 2, "z": 3}, {"x": 3, "y": 2, "z": 2}]
 
 
 def test_leaf_weights_count_ternary_arguments_twice():
-    (term,) = parse_identity("{x,A^2(y),(u*as(v,w,t))} = 0").terms
-    assert leaf_weights(term.expr, 3) == [
+    terms = parse_identity("{x,A^2(y),(u*as(v,w,t))} = 0").terms
+    assert [leaf_weights(term.expr, 3) for term in terms] == [
         {"x": 2, "y": 8, "u": 3, "v": 5, "w": 5, "t": 7},
         {"x": 2, "y": 8, "u": 3, "v": 7, "w": 5, "t": 5},
     ]

@@ -421,7 +421,6 @@ _MIXED_TOP_KINDS = {
     ("HOM_BOL", "binary_multiplicativity"): {"_Twisted", "_Binary"},
     ("HOM_BOL", "ternary_multiplicativity"): {"_Twisted", "_Ternary"},
     ("HOM_BOL", "binary_ternary_compat"): {"_Ternary", "_Binary"},
-    ("EQ_7_10", "derived_ternary_closed_form_twisted"): {"_Difference", "_Binary"},
 }
 
 

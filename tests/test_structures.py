@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import reference
-from superbol.catalog import SPACE_1_2, example_3_1, example_5_1_beta, example_5_1_bol
+from superbol.catalog import SPACE_1_2, example_3_1, example_5_1_beta, example_5_1_bol, example_5_1_hombol
 from superbol.constructions import minus_algebra, plus_algebra
 from superbol.core import EvenMap, parity_of
 from superbol.storage import AlgebraDocument, load, save
@@ -170,6 +170,15 @@ def test_even_self_morphism_bol_fails_for_nonzero_b(ex51_bol):
     assert report.residue == SPACE_1_2.element({"i": -36})
     assert report.tuples_checked == 6
     assert report.detail == "binary images differ at (j, j)"
+
+
+def test_even_self_morphism_fails_first_on_the_twist():
+    # beta(2,0) scales j by 1 but the twist beta(2,3) sends j to j + 3k.
+    report = is_even_self_morphism(example_5_1_hombol(2, 3), example_5_1_beta(2, 0))
+    assert not report.passed
+    assert report.tuples_checked == 1
+    assert report.counterexample is None
+    assert report.detail == "candidate does not commute with the twist"
 
 
 def test_even_self_morphism_swap_fails_as_morphism_when_parity_valid(ex31):

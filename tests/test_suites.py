@@ -1,14 +1,16 @@
 import re
+from collections import Counter
 
 import pytest
 
 from conftest import make_grassmann, run_fresh
-from superbol import suites
+from superbol import constructions, structures, suites
 from superbol.catalog import example_5_1, example_5_1_beta
 from superbol.cli import main
 from superbol.constructions import bol_from_right_alternative, hom_jordan_triple, plus_algebra, yau_twist_algebra
 from superbol.core import power
-from superbol.dsl import leaf_weights
+from superbol.dsl import ASSOC, Identity, Term, Twist, Var, leaf_weights
+from superbol.operators import lemma_identities
 from superbol.structures import Convention, HomTripleSystem, TernaryStructure
 from superbol.suites import SUITE_NAMES, binding_for, run_suite, suite
 
@@ -180,8 +182,8 @@ def test_grassmann_plus_is_jordan_admissible():
 
 
 def _balances(identity, twist_weight: int) -> bool:
-    """Do all monomials of all terms give each variable one leaf weight?"""
-    weights = {frozenset(m.items()) for term in identity.terms for m in leaf_weights(term.expr, twist_weight)}
+    """Do all terms give each variable one leaf weight?"""
+    weights = {frozenset(leaf_weights(term.expr, twist_weight).items()) for term in identity.terms}
     return len(weights) == 1
 
 
@@ -211,3 +213,31 @@ def test_hom_jordan_triple_twist_is_raised_to_the_weight_ratio():
     triple = hom_jordan_triple(jordan)
     assert ratio == 2 and triple.twist == power(alpha, 2) != alpha
     assert run_suite(triple, "HOM_JORDAN_TRIPLE").passed
+
+
+def _symbols(expr) -> set:
+    """The operation symbols of every call in ``expr``."""
+    if isinstance(expr, Var):
+        return set()
+    if isinstance(expr, Twist):
+        return _symbols(expr.arg)
+    return {expr.op}.union(*map(_symbols, expr.args))
+
+
+def test_no_identity_holds_an_associator_call():
+    """The parser expands every ``as``, so no suite, construction or
+    operator-lemma identity reaches the engine with one."""
+    identities = [identity for name in SUITE_NAMES for identity in suite(name).identities]
+    identities += [value for module in (suites, constructions, structures) for value in vars(module).values()
+                   if isinstance(value, Identity)]
+    identities += lemma_identities(True) + lemma_identities(False)
+    assert constructions._BOL_TERNARY in identities  # written with an ``as``
+    for identity in identities:
+        assert all(ASSOC not in _symbols(term.expr) for term in identity.terms), identity.name
+
+
+def test_right_superalternativity_is_its_expansion_negated():
+    identities = {identity.name: identity for identity in suite("RIGHT_ALT").identities}
+    expanded = identities["right_superalternativity_expanded"].terms
+    negated = Counter(Term(-term.coefficient, term.sign, term.expr) for term in expanded)
+    assert Counter(identities["right_superalternativity"].terms) == negated
