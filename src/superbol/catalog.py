@@ -73,7 +73,7 @@ def example_5_1_bol() -> HomBinaryTernary:
             ("k", "j", "j"): {"k": 4},
         },
     )
-    return HomBinaryTernary(binary, ternary, EvenMap.identity(SPACE_1_2))
+    return HomBinaryTernary.untwisted(binary, ternary)
 
 
 def example_5_1_hombol(a: Scalar = 2, b: Scalar = 3) -> HomBinaryTernary:
@@ -127,7 +127,7 @@ def example_3_1() -> HomBinaryTernary:
             ("k", "i", "i"): {"k": 1},
         },
     )
-    return HomBinaryTernary(binary, ternary, EvenMap.identity(SPACE_2_1))
+    return HomBinaryTernary.untwisted(binary, ternary)
 
 
 def form_1_2() -> BilinearForm:

@@ -111,10 +111,9 @@ def bol_from_right_alternative(
     if checked:
         _require_suite(algebra, "RIGHT_ALT", "bol_from_right_alternative")
     plus = plus_algebra(algebra, conv)
-    return HomBinaryTernary(
-        binary=minus_algebra(algebra, conv).binary,
-        ternary=TernaryStructure(algebra.space, tabulated(_BOL_TERNARY, {STAR: plus.binary})),
-        twist=EvenMap.identity(algebra.space),
+    return HomBinaryTernary.untwisted(
+        minus_algebra(algebra, conv).binary,
+        TernaryStructure(algebra.space, tabulated(_BOL_TERNARY, {STAR: plus.binary})),
     )
 
 
@@ -273,4 +272,4 @@ def bilinear_form_triple(form: BilinearForm, lam: Scalar = 1) -> HomTripleSystem
         for i, j, k in itertools.product(range(space.dim), repeat=3)
     })
     ternary = TernaryStructure(space, tabulated(scaled(_FORM_TRIPLE, rational(lam)), {BRACES: pairing}))
-    return HomTripleSystem(ternary, EvenMap.identity(space))
+    return HomTripleSystem.untwisted(ternary)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -161,6 +161,17 @@ def _max_twist(expr: Expr) -> int:
     if isinstance(expr, Twist):
         return max(expr.power, _max_twist(expr.arg))
     return max(map(_max_twist, expr.args))
+
+
+def without_twist(identity: Identity) -> Identity:
+    """``identity`` with every twist power removed: its statement at the identity twist."""
+    return replace(identity, terms=tuple(replace(term, expr=_untwisted(term.expr)) for term in identity.terms))
+
+
+def _untwisted(expr: Expr) -> Expr:
+    if isinstance(expr, Twist):
+        return _untwisted(expr.arg)
+    return expr if isinstance(expr, Var) else Call(expr.op, tuple(map(_untwisted, expr.args)))
 
 
 def variable_counts(expr: Expr, counts: dict[str, int]) -> None:

@@ -9,9 +9,11 @@ suites) refer to the structure's own operations.  The lemma suites
 (LEMMA_2_4 .. EQ_7_10) state facts about a single binary product ``*`` and
 its derived graded (anti)symmetrizations; there ``[]`` and ``o`` are derived
 from ``*`` at the half normalization, the one under which those statements
-hold with the printed coefficients.  Suites whose statements are untwisted
-bind the twist symbol to the identity map regardless of the structure's own
-twist.
+hold with the printed coefficients.  Every binding takes the structure's own
+twist.  Each axiom is written once, as its Hom text; an untwisted suite
+(RIGHT_ALT, JORDAN, BOL, LIE_TRIPLE, JORDAN_TRIPLE, LEMMA_2_4, EQ_3_2) holds
+its declared identities with every twist power removed, so it never reads
+the twist it is bound to.
 
 The graded (anti)symmetrization is defined here once, as a term sum the
 engine tabulates; the lemma bindings and the constructions both build it
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .core import Element, EvenMap, SuperSpace
-from .dsl import STAR, Identity, parse_identity
+from .dsl import STAR, Identity, parse_identity, without_twist
 from .reports import SuiteReport
 from .structures import (
     BINARY_MULTIPLICATIVITY,
@@ -43,9 +45,6 @@ from .structures import (
     ProductTensor,
 )
 
-TWIST_STRUCTURE = "structure"
-TWIST_IDENTITY = "identity"
-
 BIND_BINARY = "binary"
 BIND_TERNARY = "ternary"
 
@@ -54,9 +53,9 @@ BIND_TERNARY = "ternary"
 class SuiteSpec:
     name: str
     identities: tuple[Identity, ...]
-    # (symbol, source): BIND_BINARY, BIND_TERNARY, or a derived product's identity
+    # (symbol, source): BIND_BINARY, BIND_TERNARY, or a derived product's identity;
+    # the twist symbol always binds the structure's twist
     bindings: tuple[tuple[str, Union[str, Identity]], ...]
-    twist_mode: str
 
 
 _SUPERCOMMUTATOR_TEXT = "(x*y) - (-1)^{x.y} (y*x) = 0"
@@ -86,22 +85,14 @@ _LEFT_ALT_ID = (
 
 _SUPERCOMMUTATIVITY = (("supercommutativity", _SUPERCOMMUTATOR_TEXT),)
 
-_JORDAN_SUPERIDENTITY = (
-    (
-        "jordan_superidentity",
-        "(-1)^{z.x + z.w} as((x*y),w,z)"
-        " + (-1)^{x.y + x.w} as((y*z),w,x)"
-        " + (-1)^{y.z + y.w} as((z*x),w,y) = 0",
-    ),
+_JORDAN_TEXT = (
+    "(-1)^{t.x + t.z} as((x*y),A(z),A(t))"
+    " + (-1)^{x.y + x.z} as((y*t),A(z),A(x))"
+    " + (-1)^{y.t + y.z} as((t*x),A(z),A(y)) = 0"
 )
 
 _HOM_JORDAN_SUPERIDENTITY = (
-    (
-        "jordan_superidentity_twisted",
-        "(-1)^{t.x + t.z} as((x*y),A(z),A(t))"
-        " + (-1)^{x.y + x.z} as((y*t),A(z),A(x))"
-        " + (-1)^{y.t + y.z} as((t*x),A(z),A(y)) = 0",
-    ),
+    ("jordan_superidentity_twisted", _JORDAN_TEXT),
     (
         "jordan_superidentity_expanded",
         "(-1)^{x.y + x.z + y.t + y.z} ((A(t)*A(z))*A((y*x)))"
@@ -121,21 +112,9 @@ _TERNARY_CYCLIC = (
 )
 _TERNARY_DERIVATION = (
     "ternary_derivation",
-    "{x,y,{u,v,w}} - {{x,y,u},v,w} - (-1)^{u.x + u.y} {u,{x,y,v},w}"
-    " - (-1)^{x.u + x.v + y.u + y.v} {u,v,{x,y,w}} = 0",
-)
-
-_BOL_IDS = (
-    _SKEW_BINARY,
-    _SKEW_TERNARY,
-    _TERNARY_CYCLIC,
-    (
-        "binary_ternary_compat",
-        "{x,y,[u,v]} - [{x,y,u},v] - (-1)^{u.x + u.y} [u,{x,y,v}]"
-        " - (-1)^{x.u + x.v + y.u + y.v} {u,v,[x,y]}"
-        " + (-1)^{x.u + x.v + y.u + y.v} [[u,v],[x,y]] = 0",
-    ),
-    _TERNARY_DERIVATION,
+    "{A^2(x),A^2(y),{u,v,w}} - {{x,y,u},A^2(v),A^2(w)}"
+    " - (-1)^{u.x + u.y} {A^2(u),{x,y,v},A^2(w)}"
+    " - (-1)^{x.u + x.v + y.u + y.v} {A^2(u),A^2(v),{x,y,w}} = 0",
 )
 
 _HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + (
@@ -148,15 +127,8 @@ _HOM_BOL_IDS = (BINARY_MULTIPLICATIVITY, TERNARY_MULTIPLICATIVITY) + (
         " - (-1)^{x.u + x.v + y.u + y.v} {A(u),A(v),[x,y]}"
         " + (-1)^{x.u + x.v + y.u + y.v} [[A(u),A(v)],[A(x),A(y)]] = 0",
     ),
-    (
-        "ternary_derivation",
-        "{A^2(x),A^2(y),{u,v,w}} - {{x,y,u},A^2(v),A^2(w)}"
-        " - (-1)^{u.x + u.y} {A^2(u),{x,y,v},A^2(w)}"
-        " - (-1)^{x.u + x.v + y.u + y.v} {A^2(u),A^2(v),{x,y,w}} = 0",
-    ),
+    _TERNARY_DERIVATION,
 )
-
-_LIE_TRIPLE_IDS = (_SKEW_TERNARY, _TERNARY_CYCLIC, _TERNARY_DERIVATION)
 
 # A twisted ternary system carries one twist map; it stands in for the squared
 # twist an ambient binary-ternary structure would supply in the derivation
@@ -177,40 +149,15 @@ _OUTER_SUPERSYMMETRY = (
     "<x,y,z> - (-1)^{x.y + x.z + y.z} <z,y,x> = 0",
 )
 
-_JORDAN_TRIPLE_IDS = (
-    _OUTER_SUPERSYMMETRY,
-    (
-        "triple_identity",
-        "<x,y,<u,v,w>> - <<x,y,u>,v,w>"
-        " - (-1)^{x.u + x.v + y.u + y.v} <u,v,<x,y,w>>"
-        " + (-1)^{x.u + x.v + y.u + y.v} <u,<v,x,y>,w> = 0",
-    ),
+_TRIPLE_TEXT = (
+    "<A(x),A(y),<u,v,w>> - <<x,y,u>,A(v),A(w)>"
+    " - (-1)^{x.u + x.v + y.u + y.v} <A(u),A(v),<x,y,w>>"
+    " + (-1)^{x.u + x.v + y.u + y.v} <A(u),<v,x,y>,A(w)> = 0"
 )
 
-_HOM_JORDAN_TRIPLE_IDS = (
-    _OUTER_SUPERSYMMETRY,
-    (
-        "triple_identity_twisted",
-        "<A(x),A(y),<u,v,w>> - <<x,y,u>,A(v),A(w)>"
-        " - (-1)^{x.u + x.v + y.u + y.v} <A(u),A(v),<x,y,w>>"
-        " + (-1)^{x.u + x.v + y.u + y.v} <A(u),<v,x,y>,A(w)> = 0",
-    ),
-)
-
-_LEMMA_2_4_IDS = (
-    (
-        "bracket_associator_expansion",
-        "as([w,x],y,z) - [w,as(x,y,z)] - (-1)^{x.y + x.z} [as(w,y,z),x]"
-        " + as(w,x,[y,z]) - (-1)^{w.x} as(x,w,[y,z]) = 0",
-    ),
-)
-
-_LEMMA_2_6_IDS = (
-    (
-        "bracket_associator_expansion_twisted",
-        "as([w,x],A(y),A(z)) - [A^2(w),as(x,y,z)] - (-1)^{x.y + x.z} [as(w,y,z),A^2(x)]"
-        " + as(A(w),A(x),[y,z]) - (-1)^{w.x} as(A(x),A(w),[y,z]) = 0",
-    ),
+_BRACKET_ASSOCIATOR_TEXT = (
+    "as([w,x],A(y),A(z)) - [A^2(w),as(x,y,z)] - (-1)^{x.y + x.z} [as(w,y,z),A^2(x)]"
+    " + as(A(w),A(x),[y,z]) - (-1)^{w.x} as(A(x),A(w),[y,z]) = 0"
 )
 
 _EQ_2_7_IDS = (
@@ -254,27 +201,32 @@ _ANGLE_ONLY = (("<>", BIND_TERNARY),)
 _STAR_BRACKET = (("*", BIND_BINARY), ("[]", SUPERCOMMUTATOR))
 _STAR_BRACKET_JORDAN = _STAR_BRACKET + (("o", SUPER_JORDAN),)
 
-# name -> (identities, bindings, twist mode)
+# name -> (identities, bindings).  An untwisted suite names its Hom
+# partner's texts by their classical names.
 _DECLARED = {
-    "RIGHT_ALT": (_RIGHT_ALT_IDS, _STAR_ONLY, TWIST_IDENTITY),
-    "RIGHT_HOM_ALT": (_RIGHT_ALT_IDS, _STAR_ONLY, TWIST_STRUCTURE),
-    "HOM_ALT": ((_RIGHT_ALT_IDS[0],) + _LEFT_ALT_ID, _STAR_ONLY, TWIST_STRUCTURE),
-    "JORDAN": (_SUPERCOMMUTATIVITY + _JORDAN_SUPERIDENTITY, _STAR_ONLY, TWIST_IDENTITY),
-    "HOM_JORDAN": (_SUPERCOMMUTATIVITY + _HOM_JORDAN_SUPERIDENTITY, _STAR_ONLY, TWIST_STRUCTURE),
-    "SUPERCOMMUTATIVE": (_SUPERCOMMUTATIVITY, _STAR_ONLY, TWIST_STRUCTURE),
-    "BOL": (_BOL_IDS, _BOL_BINDINGS, TWIST_IDENTITY),
-    "HOM_BOL": (_HOM_BOL_IDS, _BOL_BINDINGS, TWIST_STRUCTURE),
-    "LIE_TRIPLE": (_LIE_TRIPLE_IDS, _TERNARY_ONLY, TWIST_IDENTITY),
-    "HOM_LIE_TRIPLE": (_HOM_LIE_TRIPLE_IDS, _TERNARY_ONLY, TWIST_STRUCTURE),
-    "JORDAN_TRIPLE": (_JORDAN_TRIPLE_IDS, _ANGLE_ONLY, TWIST_IDENTITY),
-    "HOM_JORDAN_TRIPLE": (_HOM_JORDAN_TRIPLE_IDS, _ANGLE_ONLY, TWIST_STRUCTURE),
-    "LEMMA_2_4": (_LEMMA_2_4_IDS, _STAR_BRACKET, TWIST_IDENTITY),
-    "LEMMA_2_6": (_LEMMA_2_6_IDS, _STAR_BRACKET, TWIST_STRUCTURE),
-    "EQ_2_7": (_EQ_2_7_IDS, _STAR_BRACKET, TWIST_STRUCTURE),
-    "EQ_4_7": (_EQ_4_7_IDS, _STAR_BRACKET_JORDAN, TWIST_STRUCTURE),
-    "EQ_3_2": (_EQ_3_2_IDS, _STAR_BRACKET_JORDAN, TWIST_IDENTITY),
-    "EQ_7_10": (_EQ_7_10_IDS, _STAR_BRACKET_JORDAN, TWIST_STRUCTURE),
+    "RIGHT_ALT": (_RIGHT_ALT_IDS, _STAR_ONLY),
+    "RIGHT_HOM_ALT": (_RIGHT_ALT_IDS, _STAR_ONLY),
+    "HOM_ALT": ((_RIGHT_ALT_IDS[0],) + _LEFT_ALT_ID, _STAR_ONLY),
+    "JORDAN": (_SUPERCOMMUTATIVITY + (("jordan_superidentity", _JORDAN_TEXT),), _STAR_ONLY),
+    "HOM_JORDAN": (_SUPERCOMMUTATIVITY + _HOM_JORDAN_SUPERIDENTITY, _STAR_ONLY),
+    "SUPERCOMMUTATIVE": (_SUPERCOMMUTATIVITY, _STAR_ONLY),
+    "BOL": (_HOM_BOL_IDS[2:], _BOL_BINDINGS),
+    "HOM_BOL": (_HOM_BOL_IDS, _BOL_BINDINGS),
+    "LIE_TRIPLE": ((_SKEW_TERNARY, _TERNARY_CYCLIC, _TERNARY_DERIVATION), _TERNARY_ONLY),
+    "HOM_LIE_TRIPLE": (_HOM_LIE_TRIPLE_IDS, _TERNARY_ONLY),
+    "JORDAN_TRIPLE": ((_OUTER_SUPERSYMMETRY, ("triple_identity", _TRIPLE_TEXT)), _ANGLE_ONLY),
+    "HOM_JORDAN_TRIPLE": ((_OUTER_SUPERSYMMETRY, ("triple_identity_twisted", _TRIPLE_TEXT)), _ANGLE_ONLY),
+    "LEMMA_2_4": ((("bracket_associator_expansion", _BRACKET_ASSOCIATOR_TEXT),), _STAR_BRACKET),
+    "LEMMA_2_6": ((("bracket_associator_expansion_twisted", _BRACKET_ASSOCIATOR_TEXT),), _STAR_BRACKET),
+    "EQ_2_7": (_EQ_2_7_IDS, _STAR_BRACKET),
+    "EQ_4_7": (_EQ_4_7_IDS, _STAR_BRACKET_JORDAN),
+    "EQ_3_2": (_EQ_3_2_IDS, _STAR_BRACKET_JORDAN),
+    "EQ_7_10": (_EQ_7_10_IDS, _STAR_BRACKET_JORDAN),
 }
+
+# The suites stated at the identity twist: their identities are the declared
+# texts with every twist power removed, so they never read a structure's twist.
+_UNTWISTED = frozenset({"RIGHT_ALT", "JORDAN", "BOL", "LIE_TRIPLE", "JORDAN_TRIPLE", "LEMMA_2_4", "EQ_3_2"})
 
 SUITE_NAMES = tuple(_DECLARED)
 
@@ -289,8 +241,9 @@ def suite(name: str) -> SuiteSpec:
 
 @functools.cache
 def _spec(key: str) -> SuiteSpec:
-    declared, bindings, twist_mode = _DECLARED[key]
-    return SuiteSpec(key, _parsed(declared), bindings, twist_mode)
+    declared, bindings = _DECLARED[key]
+    identities = _parsed(declared)
+    return SuiteSpec(key, tuple(map(without_twist, identities)) if key in _UNTWISTED else identities, bindings)
 
 
 @functools.cache
@@ -321,7 +274,8 @@ def graded_product(binary: BinaryStructure, conv: Convention, product: Identity)
 
 
 def binding_for(structure: HomStructure, spec: SuiteSpec) -> StructureBinding:
-    """Derive the operation bindings the suite expects from a structure."""
+    """Derive the operation bindings the suite expects from a structure, and
+    bind the twist symbol to the structure's twist."""
     from .engine import StructureBinding
 
     space: SuperSpace = structure.space
@@ -333,8 +287,7 @@ def binding_for(structure: HomStructure, spec: SuiteSpec) -> StructureBinding:
         if product is None:
             raise ValueError(f"suite {spec.name} needs a {label} operation; structure has none")
         ops[symbol] = graded_product(product, Convention.HALF, source) if derived else product
-    bound_twist = EvenMap.identity(space) if spec.twist_mode == TWIST_IDENTITY else structure.twist
-    return StructureBinding(space=space, ops=ops, twist=bound_twist)
+    return StructureBinding(space=space, ops=ops, twist=structure.twist)
 
 
 def run_suite(structure: HomStructure, name: str) -> SuiteReport:

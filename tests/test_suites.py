@@ -1,15 +1,24 @@
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from conftest import make_grassmann, run_fresh
+from conftest import bench_families, make_grassmann, run_fresh
 from superbol import constructions, structures, suites
-from superbol.catalog import example_5_1, example_5_1_beta
+from superbol.catalog import example_5_1, example_5_1_beta, jordan_form_triple
 from superbol.cli import main
-from superbol.constructions import bol_from_right_alternative, hom_jordan_triple, plus_algebra, yau_twist_algebra
+from superbol.constructions import (
+    bol_from_right_alternative,
+    hom_jordan_triple,
+    jordan_lts_bracket,
+    minus_algebra,
+    plus_algebra,
+    yau_twist_algebra,
+    yau_twist_bol,
+)
 from superbol.core import power
-from superbol.dsl import ASSOC, Identity, Term, Twist, Var, leaf_weights
+from superbol.dsl import ASSOC, Identity, Term, Twist, Var, leaf_weights, without_twist
 from superbol.operators import lemma_identities
 from superbol.structures import Convention, HomTripleSystem, TernaryStructure
 from superbol.suites import SUITE_NAMES, binding_for, run_suite, suite
@@ -38,8 +47,8 @@ IDENTITY_NAMES = {
 }
 
 # The twist weight at which each twisted suite's identities balance their
-# leaf weights.  SUPERCOMMUTATIVE names no twist; the untwisted suites bind
-# the identity twist and need not balance.
+# leaf weights.  A suite is twisted if its identities hold a twist;
+# SUPERCOMMUTATIVE and the untwisted suites hold none and need not balance.
 TWIST_WEIGHT = {
     "RIGHT_HOM_ALT": 1,
     "HOM_ALT": 1,
@@ -53,12 +62,78 @@ TWIST_WEIGHT = {
     "HOM_LIE_TRIPLE": 2,
 }
 
+# The untwisted suites, each mapped to its Hom partner where it has one.
+HOM_PARTNER = {
+    "RIGHT_ALT": "RIGHT_HOM_ALT",
+    "JORDAN": "HOM_JORDAN",
+    "BOL": "HOM_BOL",
+    "LIE_TRIPLE": "HOM_LIE_TRIPLE",
+    "JORDAN_TRIPLE": "HOM_JORDAN_TRIPLE",
+    "LEMMA_2_4": "LEMMA_2_6",
+}
+UNTWISTED = set(HOM_PARTNER) | {"EQ_3_2"}
+
 # Identities whose leaf weights balance at every twist weight: the ones
 # without a twist, and the multiplicativity laws, which twist every leaf once.
 WEIGHT_FREE = {
     "supercommutativity", "skew_binary", "skew_ternary", "ternary_cyclic_sum", "outer_supersymmetry",
     "binary_multiplicativity", "ternary_multiplicativity",
 }
+
+
+def _m21_twist(families):
+    return families.diagonal_automorphism(2, 1, (1, -3, Fraction(1, 2)))
+
+
+# (passed, counterexample, residue) of every identity of each untwisted suite
+# on one input built from the benchmark families, recorded while the untwisted
+# suites still bound the identity twist.  The last two inputs carry a
+# nontrivial twist, which an untwisted suite must not read.
+_UNTWISTED_PINS = [
+    ("JORDAN", lambda families: example_5_1(), [
+        (False, ("j", "k"), {"i": 6}),
+        (False, ("j", "j", "j", "k"), {"i": 24}),
+    ]),
+    ("LEMMA_2_4", lambda families: minus_algebra(families.matrix_superalgebra(1, 1)), [
+        (False, ("e11", "e12", "e11", "e21"), {"e11": -2, "e22": -2}),
+    ]),
+    ("EQ_3_2", lambda families: plus_algebra(families.matrix_superalgebra(1, 1)), [
+        (False, ("e11", "e11", "e12"), {"e12": 2}),
+    ]),
+    ("JORDAN_TRIPLE", lambda families: jordan_lts_bracket(plus_algebra(example_5_1())), [
+        (False, ("i", "j", "j"), {"i": -8}),
+        (False, ("i", "j", "j", "j", "j"), {"i": 128}),
+    ]),
+    ("LIE_TRIPLE", lambda families: jordan_form_triple(), [
+        (False, ("e", "e", "e"), {"e": 2}),
+        (False, ("e", "e", "e"), {"e": 3}),
+        (False, ("e", "e", "e", "e", "e"), {"e": -2}),
+    ]),
+    ("RIGHT_ALT", lambda families: yau_twist_algebra(families.matrix_superalgebra(2, 1), _m21_twist(families)), [
+        (False, ("e11", "e11", "e12"), {"e12": Fraction(-4, 9)}),
+        (False, ("e11", "e11", "e12"), {"e12": Fraction(4, 9)}),
+    ]),
+    ("BOL", lambda families: yau_twist_bol(
+        bol_from_right_alternative(families.matrix_superalgebra(2, 1)), _m21_twist(families)), [
+        (True, None, None),
+        (True, None, None),
+        (True, None, None),
+        (False, ("e11", "e12", "e11", "e21"), {"e11": Fraction(40, 9), "e22": Fraction(-40, 9)}),
+        (False, ("e11", "e12", "e11", "e13", "e21"), {"e13": -140}),
+    ]),
+]
+
+
+@pytest.mark.parametrize("name, build, pinned", _UNTWISTED_PINS, ids=[case[0] for case in _UNTWISTED_PINS])
+def test_untwisted_suites_keep_their_pinned_reports(name, build, pinned):
+    structure = build(bench_families())
+    space = structure.space
+    expected = [
+        (passed, counterexample, None if residue is None else space.element(residue))
+        for passed, counterexample, residue in pinned
+    ]
+    report = run_suite(structure, name)
+    assert [(r.passed, r.counterexample, r.residue) for r in report.reports] == expected
 
 
 def test_suite_sizes():
@@ -70,12 +145,33 @@ def test_suite_sizes():
     assert len(suite("HOM_JORDAN").identities) == 3
 
 
-def test_right_alt_is_right_hom_alt_with_identity_twist():
-    plain = suite("RIGHT_ALT")
-    twisted = suite("RIGHT_HOM_ALT")
-    assert plain.identities is twisted.identities
-    assert plain.twist_mode == "identity"
-    assert twisted.twist_mode == "structure"
+def _twists(expr) -> int:
+    """The number of twist nodes in ``expr``."""
+    if isinstance(expr, Var):
+        return 0
+    if isinstance(expr, Twist):
+        return 1 + _twists(expr.arg)
+    return sum(map(_twists, expr.args))
+
+
+def _holds_a_twist(name: str) -> bool:
+    return any(_twists(term.expr) for identity in suite(name).identities for term in identity.terms)
+
+
+def test_untwisted_suites_hold_no_twist():
+    assert {name for name in SUITE_NAMES if not _holds_a_twist(name)} == UNTWISTED | {"SUPERCOMMUTATIVE"}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_PARTNER))
+def test_an_untwisted_suite_is_its_hom_partner_without_the_twist(name):
+    """Each identity is its partner's namesake, up to the ``_twisted``
+    suffix, with every twist power removed; the names keep the partner's order."""
+    partner = {i.name.removesuffix("_twisted"): without_twist(i) for i in suite(HOM_PARTNER[name]).identities}
+    identities = suite(name).identities
+    names = [identity.name for identity in identities]
+    assert names == [found for found in partner if found in names]
+    for identity in identities:
+        assert (identity.variables, identity.terms) == (partner[identity.name].variables, partner[identity.name].terms)
 
 
 def test_unknown_suite_rejected():
@@ -192,7 +288,7 @@ def test_twisted_suites_balance_at_their_declared_weight(name):
     declared = TWIST_WEIGHT[name]
     other = 3 - declared
     spec = suite(name)
-    assert spec.twist_mode == suites.TWIST_STRUCTURE
+    assert _holds_a_twist(name)
     for identity in spec.identities:
         assert _balances(identity, declared), identity.name
         assert _balances(identity, other) == (identity.name in WEIGHT_FREE), identity.name
@@ -200,9 +296,7 @@ def test_twisted_suites_balance_at_their_declared_weight(name):
 
 
 def test_twist_weights_cover_every_twisted_suite():
-    twisted = {name for name in SUITE_NAMES if suite(name).twist_mode == suites.TWIST_STRUCTURE}
-    assert twisted - set(TWIST_WEIGHT) == {"SUPERCOMMUTATIVE"}
-    assert {i.name for i in suite("SUPERCOMMUTATIVE").identities} <= WEIGHT_FREE
+    assert {name for name in SUITE_NAMES if _holds_a_twist(name)} == set(TWIST_WEIGHT)
 
 
 def test_hom_jordan_triple_twist_is_raised_to_the_weight_ratio():
