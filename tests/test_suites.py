@@ -145,17 +145,8 @@ def test_suite_sizes():
     assert len(suite("HOM_JORDAN").identities) == 3
 
 
-def _twists(expr) -> int:
-    """The number of twist nodes in ``expr``."""
-    if isinstance(expr, Var):
-        return 0
-    if isinstance(expr, Twist):
-        return 1 + _twists(expr.arg)
-    return sum(map(_twists, expr.args))
-
-
 def _holds_a_twist(name: str) -> bool:
-    return any(_twists(term.expr) for identity in suite(name).identities for term in identity.terms)
+    return any(identity.max_twist_power() for identity in suite(name).identities)
 
 
 def test_untwisted_suites_hold_no_twist():
@@ -171,7 +162,8 @@ def test_an_untwisted_suite_is_its_hom_partner_without_the_twist(name):
     names = [identity.name for identity in identities]
     assert names == [found for found in partner if found in names]
     for identity in identities:
-        assert (identity.variables, identity.terms) == (partner[identity.name].variables, partner[identity.name].terms)
+        expected = partner[identity.name]
+        assert (identity.variables, identity.terms) == (expected.variables, expected.terms)
 
 
 def test_unknown_suite_rejected():
