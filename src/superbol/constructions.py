@@ -210,15 +210,12 @@ def yau_twist_triple(
 
 
 def nth_derived(structure: HomBinaryTernary, n: int) -> HomBinaryTernary:
-    """Pre-compose products with twist powers 2^n - 1 (binary) and 2^(n+1) - 2 (ternary)."""
+    """The structure Yau-twisted by its own twist α to the power 2^n - 1:
+    bracket by α^(2^n - 1), ternary by α^(2^(n+1) - 2), twist α^(2^n); the
+    structure itself for n = 0."""
     if n < 0:
         raise ValueError("derivation index must be nonnegative")
-    a = structure.twist
-    return HomBinaryTernary(
-        binary=_twisted(structure.binary, power(a, 2**n - 1)),
-        ternary=_twisted(structure.ternary, power(a, 2 ** (n + 1) - 2)),
-        twist=power(a, 2**n),
-    )
+    return structure if n == 0 else yau_twist_bol(structure, structure.twist, 2**n - 1, checked=False)
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,6 @@ class Identity:
     name: str
     variables: tuple[str, ...]
     terms: tuple[Term, ...]
-    source: str = ""
 
     @property
     def arity(self) -> int:
@@ -438,7 +437,8 @@ def build_identity(name: str, variables: tuple[str, ...], terms: tuple[Term, ...
 
     Every term must use each variable exactly once and no other variable, and
     its sign exponent may only mention the variables.  The engine's basis-tuple
-    verdict is complete only under this precondition.
+    verdict is complete only under this precondition.  An error names the
+    identity by ``name``, or by its ``source`` text if it has no name.
     """
     label = name or source
     for position, term in enumerate(terms):
@@ -456,7 +456,7 @@ def build_identity(name: str, variables: tuple[str, ...], terms: tuple[Term, ...
             raise MultilinearityError(
                 f"term {position + 1} of {label!r} uses unknown variables {sorted(unknown)}"
             )
-    return Identity(name=name, variables=tuple(variables), terms=tuple(terms), source=source)
+    return Identity(name=name, variables=tuple(variables), terms=tuple(terms))
 
 
 def parse_identity(text: str, name: str = "") -> Identity:

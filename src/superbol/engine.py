@@ -8,8 +8,8 @@ reproducible.  The reported tuple count is always d**n.
 :func:`check` runs a kernel that each :class:`StructureBinding` compiles for
 itself on first use and keeps.  Each proper sub-term of a term becomes a
 node holding a table of its nonzero values only, built once by joining its
-argument tables through an index of the tensor's support (by left index for
-a binary product, by (i, j) pair for a ternary one) and through an index of
+argument tables through an index of the tensor's support, nested by every
+index but the last whatever the product's arity, and through an index of
 the argument tables by component; sub-terms equal up to renaming share one
 node.  The top node of each term is never materialized.  The residue is
 built in chunks, one per basis index of the identity's first variable: each
@@ -115,22 +115,20 @@ class StructureBinding:
     def _tensor(self, symbol: str) -> tuple[int, dict]:
         """The bound structure as ``(scale, support)``: its constants times
         ``scale``, the lcm of their denominators, each row a tuple of
-        ``(target, entry)`` pairs, indexed for the joins of :class:`_Binary`
-        and :class:`_Ternary`."""
+        ``(target, entry)`` pairs, nested by every index of its key but the
+        last for the join of :class:`_Product`: the first index maps to the
+        :func:`_branches` of the rest, ``i -> [(j, row)]`` for a binary
+        structure and ``i -> [(j, [(k, row)])]`` for a ternary one."""
         if symbol not in self._tensors:
-            structure = self.op(symbol)
-            constants = {key: value.coords for key, value in structure.constants.items() if value.coords}
+            constants = {key: value.coords for key, value in self.op(symbol).constants.items() if value.coords}
             scale = math.lcm(*(c.denominator for coords in constants.values() for c in coords.values()))
             support: dict = {}
             for key, coords in constants.items():
-                row = tuple(_integral(coords, scale).items())
-                if structure.arity == 2:
-                    support.setdefault(key[0], []).append((key[1], row))
-                else:
-                    support.setdefault(key[0], {}).setdefault(key[1], []).append((key[2], row))
-            if structure.arity == 3:
-                support = {i: list(pairs.items()) for i, pairs in support.items()}
-            self._tensors[symbol] = scale, support
+                index = support
+                for i in key[:-1]:
+                    index = index.setdefault(i, {})
+                index[key[-1]] = tuple(_integral(coords, scale).items())
+            self._tensors[symbol] = scale, {i: _branches(index) for i, index in support.items()}
         return self._tensors[symbol]
 
     def _twist_columns(self, n: int) -> Optional[tuple[int, list[dict[int, int]]]]:
@@ -160,9 +158,7 @@ class StructureBinding:
             columns = self._twist_columns(expr.power)
             arg = self.node(expr.arg)[0]
             return arg if columns is None else _Twisted(*columns, arg)
-        args = [self.node(arg)[0] for arg in expr.args]
-        kind = _Ternary if expr.op in (BRACES, ANGLE) else _Binary
-        return kind(*self._tensor(expr.op), args)
+        return _Product(*self._tensor(expr.op), [self.node(arg)[0] for arg in expr.args])
 
 
 def _twist_powers(binding: StructureBinding, identity: Identity) -> dict[int, EvenMap]:
@@ -220,6 +216,12 @@ def _columns(parities: Sequence[int], n: int) -> list[list[int]]:
     index ``i`` there: ``i * dim**(n-1-v) << n | parity(i) << v``."""
     dim = len(parities)
     return [[i * dim ** (n - 1 - v) << n | parity << v for i, parity in enumerate(parities)] for v in range(n)]
+
+
+def _branches(index: dict) -> list:
+    """A nested ``{index: sub-index}`` dict as nested lists of ``(index,
+    sub-index)`` pairs, down to the rows at its leaves."""
+    return [(i, _branches(sub) if isinstance(sub, dict) else sub) for i, sub in index.items()]
 
 
 def _components(rows: Iterable[tuple[int, dict[int, int]]]) -> dict[int, list[tuple[int, int]]]:
@@ -368,7 +370,13 @@ class _Twisted(_Node):
 
 
 class _Product(_Node):
-    """A product of the bound tensor ``support`` with its argument nodes."""
+    """A product of the bound tensor ``support`` with its argument nodes.
+
+    The join is driven by the first argument's coded rows.  Each basis index
+    ``i`` they hold opens one branch ``(code, coefficient, support[i])``;
+    each middle argument extends every branch through its component index,
+    one step down the support; the last argument meets the rows at the
+    leaves."""
 
     __slots__ = ("support", "args")
 
@@ -378,7 +386,7 @@ class _Product(_Node):
         )
         self.support, self.args = support, tuple(args)
 
-    def _arguments(self, fix, coding: _Coding):
+    def _arguments(self, fix, coding: _Coding) -> list:
         """The first argument's coded rows and the coded component indexes of
         the others; the argument holding position ``fix[0]`` is restricted to
         ``fix[1]``."""
@@ -389,60 +397,34 @@ class _Product(_Node):
                 local = (fix[0] - offset, fix[1])
             coded.append(coding.coded(arg, offset, local, _components if coded else dict))
             offset += arg.width
-        return coded[0], coded[1:]
-
-
-class _Binary(_Product):
-    """``support`` indexes the tensor by left argument: i -> [(j, row)]."""
-
-    __slots__ = ()
+        return coded
 
     def _accumulate(self, fix, sink, coding, m):
-        lefts, (rights,) = self._arguments(fix, coding)
-        support, weights, mask = self.support, coding.weights, coding.mask
-        for kl, a in lefts.items():
-            for i, ca in a.items():
-                ca *= m
-                for j, row in support.get(i, ()):
-                    for kr, cb in rights.get(j, ()):
-                        code = kl + kr
-                        c = ca * cb * weights[code & mask]
-                        acc = sink.get(code)
-                        if acc is None:
-                            sink[code] = acc = {}
-                        for target, entry in row:
-                            acc[target] = acc.get(target, 0) + c * entry
-
-
-class _Ternary(_Product):
-    """``support`` indexes the tensor by (i, j) pair: i -> [(j, [(k, row)])]."""
-
-    __slots__ = ()
-
-    def _accumulate(self, fix, sink, coding, m):
-        firsts, (seconds, thirds) = self._arguments(fix, coding)
+        firsts, *middles, lasts = self._arguments(fix, coding)
         support, weights, mask = self.support, coding.weights, coding.mask
         for ka, a in firsts.items():
             for i, ca in a.items():
-                ca *= m
-                for j, pairs in support.get(i, ()):
-                    bs = seconds.get(j)
-                    if bs is None:
-                        continue
-                    for k, row in pairs:
-                        cs = thirds.get(k)
-                        if cs is None:
-                            continue
-                        for kb, cb in bs:
-                            cab, kab = ca * cb, ka + kb
-                            for kc, cc in cs:
-                                code = kab + kc
-                                c = cab * cc * weights[code & mask]
-                                acc = sink.get(code)
-                                if acc is None:
-                                    sink[code] = acc = {}
-                                for target, entry in row:
-                                    acc[target] = acc.get(target, 0) + c * entry
+                index = support.get(i)
+                if index is None:
+                    continue
+                branches = ((ka, ca * m, index),)
+                for components in middles:
+                    branches = [
+                        (kb + kc, cb * cc, sub)
+                        for kb, cb, index in branches
+                        for j, sub in index
+                        for kc, cc in components.get(j, ())
+                    ]
+                for kb, cb, index in branches:
+                    for k, row in index:
+                        for kc, cc in lasts.get(k, ()):
+                            code = kb + kc
+                            c = cb * cc * weights[code & mask]
+                            acc = sink.get(code)
+                            if acc is None:
+                                sink[code] = acc = {}
+                            for target, entry in row:
+                                acc[target] = acc.get(target, 0) + c * entry
 
 
 def _canonical(expr: Expr, order: dict[str, str]) -> Expr:

@@ -302,24 +302,24 @@ def _additivity(jordan: HomSuperalgebra) -> CheckReport:
     return CheckReport("left_mul_additivity", counterexample is None, space.dim**2, counterexample)
 
 
-def verify_operator_lemmas(jordan: HomSuperalgebra, checked: bool = True) -> SuiteReport:
+def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:
     """Check every operator lemma on all homogeneous basis tuples.
 
-    The product must be graded (always verified).  Precondition (verified
-    unless ``checked=False``): the structure is multiplicative and its
-    product satisfies the twisted Jordan suite.
+    Preconditions, each verified first and raised as ValueError: the product
+    is graded, the structure is multiplicative, and its product satisfies
+    the twisted Jordan suite.  On a structure that fails them, :func:`check`
+    each of :func:`lemma_identities` on :func:`lemma_binding` instead.
     """
     grading = grading_check(jordan.binary)
     if not grading.passed:
         raise ValueError(f"operator lemmas need a graded product: {grading.describe()}")
-    if checked:
-        mult = is_multiplicative(jordan)
-        if not mult.passed:
-            raise ValueError(f"operator lemmas need a multiplicative structure: {mult.describe()}")
-        jordan_suite = run_suite(jordan, "HOM_JORDAN")
-        if not jordan_suite.passed:
-            failure = jordan_suite.first_failure()
-            raise ValueError(f"operator lemmas need a twisted Jordan product: {failure.describe()}")
+    mult = is_multiplicative(jordan)
+    if not mult.passed:
+        raise ValueError(f"operator lemmas need a multiplicative structure: {mult.describe()}")
+    jordan_suite = run_suite(jordan, "HOM_JORDAN")
+    if not jordan_suite.passed:
+        failure = jordan_suite.first_failure()
+        raise ValueError(f"operator lemmas need a twisted Jordan product: {failure.describe()}")
 
     binding = lemma_binding(jordan)
     results: dict[str, list[CheckReport]] = {}

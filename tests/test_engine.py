@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,11 +105,17 @@ def test_binding_rejects_space_mismatch(ex51, ex31):
         StructureBinding(space=ex51.space, ops={"*": ex51.binary}, twist=EvenMap.identity(ex31.space))
 
 
-def test_binding_rejects_wrong_arity_symbol(ex31):
-    with pytest.raises(ValueError):
-        StructureBinding(
-            space=ex31.space, ops={"{}": ex31.binary}, twist=EvenMap.identity(ex31.space)
-        )
+@pytest.mark.parametrize(
+    "symbol,part,expected",
+    [("*", "ternary", "BinaryStructure"), ("[]", "ternary", "BinaryStructure"), ("o", "ternary", "BinaryStructure"),
+     ("{}", "binary", "TernaryStructure"), ("<>", "binary", "TernaryStructure")],
+    ids=["star", "bracket", "circle", "braces", "angle"],
+)
+def test_binding_rejects_wrong_arity_symbol(ex31, symbol, part, expected):
+    """The binding alone keeps each tensor's support as deep as its calls
+    have arguments: a structure of the other arity is refused."""
+    with pytest.raises(ValueError, match=rf"^symbol {re.escape(repr(symbol))} needs a {expected}$"):
+        StructureBinding(space=ex31.space, ops={symbol: getattr(ex31, part)}, twist=EvenMap.identity(ex31.space))
 
 
 def test_evaluate_on_elements_zero_for_passing_identity(ex51):
@@ -321,8 +328,8 @@ def test_oracle_shares_nothing_with_the_kernel():
         for item in node.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
-    assert {"_Leaf", "_Binary", "_Ternary"} <= node_classes and tables
-    assert {"_compile", "_chunk", "_components", "_Coding", "_columns", "_decode", "_signs"} <= helpers
+    assert {"_Leaf", "_Twisted", "_Product"} <= node_classes and tables
+    assert {"_compile", "_chunk", "_branches", "_components", "_Coding", "_columns", "_decode", "_signs"} <= helpers
     assert {"coded", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
     kernel = {"node", "_build", "_tensor", "_twist_columns"} | helpers | methods | tables
     for name in _ORACLE:
@@ -418,10 +425,15 @@ _MIXED_TOPS = HomBinaryTernary(
     EvenMap(_TOPS, ((2, 0), (0, 3))),
 )
 _MIXED_TOP_KINDS = {
-    ("HOM_BOL", "binary_multiplicativity"): {"_Twisted", "_Binary"},
-    ("HOM_BOL", "ternary_multiplicativity"): {"_Twisted", "_Ternary"},
-    ("HOM_BOL", "binary_ternary_compat"): {"_Ternary", "_Binary"},
+    ("HOM_BOL", "binary_multiplicativity"): {("_Twisted", None), ("_Product", 2)},
+    ("HOM_BOL", "ternary_multiplicativity"): {("_Twisted", None), ("_Product", 3)},
+    ("HOM_BOL", "binary_ternary_compat"): {("_Product", 3), ("_Product", 2)},
 }
+
+
+def _top_kind(node):
+    """A top node's class, and for a product its number of arguments."""
+    return type(node).__name__, len(node.args) if isinstance(node, engine._Product) else None
 
 
 def test_mixed_tops_example_mixes_top_node_kinds():
@@ -436,7 +448,7 @@ def test_mixed_tops_example_mixes_top_node_kinds():
         signs = set()
         for term in identity.terms:
             value = evaluate_on_elements(dataclasses.replace(identity, terms=(term,)), binding, assignment)
-            kind = type(binding.node(term.expr)[0]).__name__
+            kind = _top_kind(binding.node(term.expr)[0])
             signs.update((kind, target, c > 0) for target, c in value.coords.items())
         assert any(
             (other, target, not positive) in signs

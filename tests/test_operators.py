@@ -5,7 +5,7 @@ from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.constructions import hom_jordan_triple, plus_algebra, yau_twist_algebra
 from superbol.dsl import SignPoly, Var, build_identity
-from superbol.engine import evaluate_on_elements
+from superbol.engine import check, evaluate_on_elements
 from superbol.operators import (
     A,
     L1,
@@ -88,9 +88,8 @@ def test_pair_action_matches_derived_triple(plus51):
 
 def test_operator_parity_grading_enforced():
     ungraded = HomSuperalgebra.untwisted(BinaryStructure(SPACE_1_2, {(0, 1): b("i")}))  # i*j must be odd
-    for checked in (True, False):
-        with pytest.raises(ValueError, match="parity"):
-            verify_operator_lemmas(ungraded, checked=checked)
+    with pytest.raises(ValueError, match="parity"):
+        verify_operator_lemmas(ungraded)
 
 
 def test_all_operator_lemmas_pass_on_fixture(plus51_lemmas):
@@ -143,11 +142,13 @@ def test_operator_identity_agrees_with_element_level_check(plus51, plus51_lemmas
     # fail direction: same verdict and matching counterexample prefix
     broken = perturbed_jordan(plus51)
     assert run_suite(broken, "SUPERCOMMUTATIVE").passed
-    operator_report = verify_operator_lemmas(broken, checked=False)["supertriple_operator_identity"]
+    lemma = next(i for i in lemma_identities(broken.twist.is_identity()) if i.name == "supertriple_operator_identity")
+    operator_report = check(lemma_binding(broken), lemma)
     triple = hom_jordan_triple(broken, checked=False)
     element_report = run_suite(triple, "HOM_JORDAN_TRIPLE")["triple_identity_twisted"]
     assert not operator_report.passed and not element_report.passed
-    assert element_report.counterexample[:4] == operator_report.counterexample
+    assert lemma.variables[-1] == "t"
+    assert element_report.counterexample[:4] == operator_report.counterexample[:-1]
 
 
 # Both sign candidates are identities of their own; one of each pair fails.
