@@ -58,7 +58,7 @@ class MultilinearityError(ValueError):
     """Raised when a term does not use every variable exactly once."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignPoly:
     """A GF(2) polynomial of degree <= 2 in variable parities.
 
@@ -111,18 +111,18 @@ class SignPoly:
         return " + ".join(rendered)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Twist:
     power: int
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     op: str
     args: tuple["Expr", ...]
@@ -131,7 +131,7 @@ class Call:
 Expr = Union[Var, Twist, Call]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     coefficient: Fraction
     sign: SignPoly
@@ -140,11 +140,18 @@ class Term:
 
 @dataclass(frozen=True)
 class Identity:
-    """A parsed multilinear identity, asserted to equal zero."""
+    """A parsed multilinear identity, asserted to equal zero.
+
+    ``plan`` is the engine's compile plan of the identity, derived from the
+    identity alone and kept on it at its first check; it takes no part in
+    equality, hashing or ``repr``, and a copy made by ``replace`` starts
+    without one.
+    """
 
     name: str
     variables: tuple[str, ...]
     terms: tuple[Term, ...]
+    plan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:

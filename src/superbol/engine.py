@@ -5,19 +5,29 @@ all d**n assignments of basis vectors to variables, and reports the first
 counterexample of a failing identity in lexicographic basis order, so it is
 reproducible.  The reported tuple count is always d**n.
 
-:func:`check` runs a kernel that each :class:`StructureBinding` compiles for
-itself on first use and keeps.  Each proper sub-term of a term becomes a
-node holding a table of its nonzero values only, built once by joining its
-argument tables through an index of the tensor's support, nested by every
-index but the last whatever the product's arity, and through an index of
-the argument tables by component; sub-terms equal up to renaming share one
-node.  The top node of each term is never materialized.  The residue is
-built in chunks, one per basis index of the identity's first variable: each
-term's top node accumulates its signed, weighted values straight into the
-chunk, through the one ``accumulate`` loop of its node kind (a product joins
-in place, a twist maps its argument's accumulated rows, and a node whose
-table is already kept walks it); the same loops, at unit weight, build the
-kept tables.
+:func:`check` runs a compiled kernel, and compiles in two parts.  What
+depends on the identity alone is compiled once per :class:`Identity`, on
+its first check, and kept on it as its ``plan``: per term, the shape of its
+expression, where its key positions land in the identity's variable order,
+the key position of the identity's first variable, its coefficient and its
+table of signs.  A shape is a sub-term up to renaming of its variables.
+Shapes are interned in one table for the whole process, so sub-terms equal
+up to renaming, in any identities, are one shape object, hashed by
+identity.  What depends on the structure is compiled once per
+:class:`StructureBinding`, on first use, and kept by it: each shape becomes
+a node holding a table of its nonzero values only, built once by joining
+its argument tables through an index of the tensor's support, nested by
+every index but the last whatever the product's arity, and through an index
+of the argument tables by component.  The binding keys its nodes by shape,
+so sub-terms equal up to renaming share one node.  Each check reads its
+terms' nodes by one lookup each and derives only the common scale, the
+weights and the integer codes.  The top node of each term is never
+materialized.  The residue is built in chunks, one per basis index of the
+identity's first variable: each term's top node accumulates its signed,
+weighted values straight into the chunk, through the one ``accumulate``
+loop of its node kind (a product joins in place, a twist maps its
+argument's accumulated rows, and a node whose table is already kept walks
+it); the same loops, at unit weight, build the kept tables.
 
 Inside a check a tuple is keyed by one integer, its code: the tuple's index
 in the identity's variable order, packed in base d, shifted above n parity
@@ -57,7 +67,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Element, EvenMap, SuperSpace, apply_map, power
-from .dsl import ANGLE, BRACES, BRACKET, JORDAN, STAR, Call, Expr, Identity, SignPoly, Twist, Var
+from .dsl import ANGLE, BRACES, BRACKET, JORDAN, STAR, Expr, Identity, SignPoly, Twist, Var
 from .reports import CheckReport
 from .structures import BinaryStructure, ProductTensor, TernaryStructure, bin_mul, tern_mul
 
@@ -74,16 +84,19 @@ class StructureBinding:
     structure-constant model; ``twist`` interprets the twist symbol A.  All
     bound structures must share one superspace.
 
-    The binding also holds the kernel behind :func:`check`, compiled when a
-    check first needs it: each bound structure as integer constants indexed
-    by their support, each non-identity twist power as integer sparse
-    columns read from the power's nonzero entries (an identity twist
-    compiles to no powers at all), and one node per sub-term, whose table of
-    nonzero values, keyed by basis-index tuple, is joined once and shared by
-    every sub-term equal to it up to renaming, across all identities checked
-    on this binding.  The integer codes a check keys its residue by, and the
-    coded copies of the tables it reads, last only for that check.  A new
-    binding starts with empty tables, so it never sees values of an old one.
+    The binding also holds the kernel behind :func:`check`, compiled once
+    per binding when a check first needs it: each bound structure as integer
+    constants indexed by their support, each non-identity twist power as
+    integer sparse columns read from the power's nonzero entries (an
+    identity twist compiles to no powers at all), and one node per sub-term
+    shape, whose table of nonzero values, keyed by basis-index tuple, is
+    joined once and shared by every sub-term of that shape, across all
+    identities checked on this binding.  What depends on the identity alone
+    (shapes, key positions, sign tables) is compiled once per identity and
+    kept on it, never here.  The common scale, the weights, the integer
+    codes a check keys its residue by, and the coded copies of the tables it
+    reads, last only for that check.  A new binding starts with empty
+    tables, so it never sees values of an old one.
     """
 
     space: SuperSpace
@@ -93,7 +106,7 @@ class StructureBinding:
     _columns: dict[int, Optional[tuple[int, list[dict[int, int]]]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _nodes: dict[Expr, _Node] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _nodes: dict[_Shape, _Node] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for symbol, structure in self.ops.items():
@@ -143,22 +156,23 @@ class StructureBinding:
             )
         return self._columns[n]
 
-    def node(self, expr: Expr) -> tuple[_Node, tuple[str, ...]]:
-        """The compiled node of ``expr`` and the variables of its key, in order."""
-        order: dict[str, str] = {}
-        canonical = _canonical(expr, order)
-        if canonical not in self._nodes:
-            self._nodes[canonical] = self._build(canonical)
-        return self._nodes[canonical], tuple(order)
-
-    def _build(self, expr: Expr) -> _Node:
-        if isinstance(expr, Var):
-            return _Leaf(self.space.parities)
-        if isinstance(expr, Twist):
-            columns = self._twist_columns(expr.power)
-            arg = self.node(expr.arg)[0]
-            return arg if columns is None else _Twisted(*columns, arg)
-        return _Product(*self._tensor(expr.op), [self.node(arg)[0] for arg in expr.args])
+    def _node(self, shape: _Shape) -> _Node:
+        """The compiled node of a sub-term shape, built from its arguments'
+        nodes on first use and kept."""
+        node = self._nodes.get(shape)
+        if node is None:
+            kind, args = shape.kind, shape.args
+            if kind is None:
+                node = _Leaf(self.space.parities)
+            elif isinstance(kind, int):
+                columns = self._twist_columns(kind)
+                node = self._node(args[0])
+                if columns is not None:
+                    node = _Twisted(*columns, node)
+            else:
+                node = _Product(*self._tensor(kind), [self._node(arg) for arg in args])
+            self._nodes[shape] = node
+        return node
 
 
 def _twist_powers(binding: StructureBinding, identity: Identity) -> dict[int, EvenMap]:
@@ -274,7 +288,7 @@ class _Node:
     """A compiled sub-term, keyed by the tuple of basis indices of its own
     ``width`` variables in traversal order.
 
-    ``accumulate(fix, sink, coding, m)`` adds ``m`` times the node's values
+    ``accumulate(fix, sink, coding)`` adds the node's values
     at the keys with basis index ``fix[1]`` at position ``fix[0]`` (all keys
     if ``fix`` is None) into ``sink``, each under its code in ``coding`` and
     weighted by ``coding.weights[code & coding.mask]``.  A node whose table
@@ -321,19 +335,19 @@ class _Node:
                 out[_decode(code, dim, width)] = vector
         return out
 
-    def accumulate(self, fix, sink: dict, coding: _Coding, m: int = 1) -> None:
+    def accumulate(self, fix, sink: dict, coding: _Coding) -> None:
         if self._table is None:
-            return self._accumulate(fix, sink, coding, m)
+            return self._accumulate(fix, sink, coding)
         weights, mask = coding.weights, coding.mask
         for code, vector in coding.coded(self, 0, fix).items():
-            w = m * weights[code & mask]
+            w = weights[code & mask]
             acc = sink.get(code)
             if acc is None:
                 sink[code] = acc = {}
             for target, c in vector.items():
                 acc[target] = acc.get(target, 0) + w * c
 
-    def _accumulate(self, fix, sink, coding, m) -> None:
+    def _accumulate(self, fix, sink, coding) -> None:
         raise NotImplementedError
 
 
@@ -358,9 +372,9 @@ class _Twisted(_Node):
         super().__init__(scale * arg.scale, arg.width, arg.parities)
         self.columns, self.arg = columns, arg
 
-    def _accumulate(self, fix, sink, coding, m):
+    def _accumulate(self, fix, sink, coding):
         part: dict[int, dict[int, int]] = {}
-        self.arg.accumulate(fix, part, coding, m)
+        self.arg.accumulate(fix, part, coding)
         columns = self.columns
         for code, vector in part.items():
             acc = sink.setdefault(code, {})
@@ -399,7 +413,7 @@ class _Product(_Node):
             offset += arg.width
         return coded
 
-    def _accumulate(self, fix, sink, coding, m):
+    def _accumulate(self, fix, sink, coding):
         firsts, *middles, lasts = self._arguments(fix, coding)
         support, weights, mask = self.support, coding.weights, coding.mask
         for ka, a in firsts.items():
@@ -407,7 +421,7 @@ class _Product(_Node):
                 index = support.get(i)
                 if index is None:
                     continue
-                branches = ((ka, ca * m, index),)
+                branches = ((ka, ca, index),)
                 for components in middles:
                     branches = [
                         (kb + kc, cb * cc, sub)
@@ -427,17 +441,39 @@ class _Product(_Node):
                                 acc[target] = acc.get(target, 0) + c * entry
 
 
-def _canonical(expr: Expr, order: dict[str, str]) -> Expr:
-    """``expr`` with its variables renamed "0", "1", ... in traversal order.
+class _Shape:
+    """A sub-term up to renaming of its variables, interned by :func:`_shape`.
 
-    ``order`` collects the original names in that order.  Sub-terms equal up
-    to renaming get one canonical form, hence one compiled node and table.
+    ``kind`` is None for a variable, the power for a twist and the
+    operation symbol for a product; ``args`` are the argument shapes.  Equal
+    shapes are one object, so a shape hashes and compares by identity.
     """
+
+    __slots__ = ("kind", "args")
+
+    def __init__(self, kind: Optional[int | str], args: tuple[_Shape, ...]) -> None:
+        self.kind, self.args = kind, args
+
+
+# Every shape built in this process, keyed by its kind and argument shapes.
+_SHAPES: dict[tuple, _Shape] = {}
+
+
+def _shape(expr: Expr, order: list[str]) -> _Shape:
+    """The interned shape of ``expr``; ``order`` collects its variables in
+    traversal order.  A multilinear term holds each variable once, so two
+    sub-terms are equal up to renaming iff their shapes are one object."""
     if isinstance(expr, Var):
-        return Var(order.setdefault(expr.name, str(len(order))))
-    if isinstance(expr, Twist):
-        return Twist(expr.power, _canonical(expr.arg, order))
-    return Call(expr.op, tuple(_canonical(arg, order) for arg in expr.args))
+        order.append(expr.name)
+        key: tuple = (None,)
+    elif isinstance(expr, Twist):
+        key = (expr.power, _shape(expr.arg, order))
+    else:
+        key = (expr.op, *(_shape(arg, order) for arg in expr.args))
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES[key] = _Shape(key[0], key[1:])
+    return shape
 
 
 def _signs(sign: SignPoly, place: Mapping[str, int]) -> list[int]:
@@ -454,28 +490,47 @@ def _signs(sign: SignPoly, place: Mapping[str, int]) -> list[int]:
     return signs
 
 
+def _plan(identity: Identity) -> tuple[tuple, ...]:
+    """The identity's structure-free compile work, done on its first check
+    and kept as ``identity.plan``: per term, the :func:`_shape` of its
+    expression, the position in the identity's variable order of each of
+    its key positions, the key position of the identity's first variable,
+    its coefficient, and its table of :func:`_signs`, one table per
+    distinct sign.  It holds nothing of a binding, so every binding reads
+    the same plan."""
+    plan = identity.plan
+    if plan is None:
+        variables = identity.variables
+        place = {name: v for v, name in enumerate(variables)}
+        signs: dict[SignPoly, tuple[int, ...]] = {}
+        steps = []
+        for term in identity.terms:
+            order: list[str] = []
+            shape = _shape(term.expr, order)
+            if term.sign not in signs:
+                signs[term.sign] = tuple(_signs(term.sign, place))
+            positions = tuple(place[name] for name in order)
+            steps.append((shape, positions, order.index(variables[0]), term.coefficient, signs[term.sign]))
+        plan = tuple(steps)
+        object.__setattr__(identity, "plan", plan)
+    return plan
+
+
 def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[tuple]]:
     """The identity's common scale S and, per term, its node, the key position
     of the identity's first variable, and its :class:`_Coding`.
 
     A term's weight is ``coefficient * S / node.scale``, an integer because S
     is the lcm of every ``node.scale * coefficient.denominator``; its weight
-    at a parity mask is that times its sign there, from one table of
-    :func:`_signs` per distinct sign."""
-    variables = identity.variables
-    nodes = [binding.node(term.expr) for term in identity.terms]
-    scale = math.lcm(*(node.scale * term.coefficient.denominator for term, (node, _) in zip(identity.terms, nodes)))
-    columns, memo = _columns(binding.space.parities, len(variables)), {}
-    place = {name: v for v, name in enumerate(variables)}
-    signs: dict[SignPoly, list[int]] = {}
+    at a parity mask is that times its sign there, read from the plan."""
+    plan = _plan(identity)
+    nodes = [binding._node(shape) for shape, *_ in plan]
+    scale = math.lcm(*(node.scale * coefficient.denominator for node, (_, _, _, coefficient, _) in zip(nodes, plan)))
+    columns, memo = _columns(binding.space.parities, identity.arity), {}
     terms = []
-    for term, (node, order) in zip(identity.terms, nodes):
-        if term.sign not in signs:
-            signs[term.sign] = _signs(term.sign, place)
-        coefficient = term.coefficient
+    for node, (_, positions, first, coefficient, signs) in zip(nodes, plan):
         weight = coefficient.numerator * (scale // (node.scale * coefficient.denominator))
-        coding = _Coding(columns, [place[name] for name in order], [weight * s for s in signs[term.sign]], memo)
-        terms.append((node, order.index(variables[0]), coding))
+        terms.append((node, first, _Coding(columns, positions, [weight * s for s in signs], memo)))
     return scale, terms
 
 

@@ -17,6 +17,7 @@ the lexicographically first failing operator tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,8 +149,15 @@ def lemma_identities(untwisted: bool = True) -> tuple[Identity, ...]:
     Operator equations quantify ``t`` last.  ``pair_operator_swap`` and
     ``difference_reduction_pairs`` appear once per candidate sign, +1 first,
     so the sign they assert is an observed fact.  ``double_bracket_reduction``
-    applies only at the identity twist.
+    applies only at the identity twist.  Each of the two tuples is built
+    once per process and shared: identities are frozen, and the engine's
+    plan kept on each depends on the identity alone.
     """
+    return _lemma_identities(bool(untwisted))
+
+
+@functools.cache
+def _lemma_identities(untwisted: bool) -> tuple[Identity, ...]:
     x, y, z, u, v, w = (Var(name) for name in "xyzuvw")
     alpha, alpha2, alpha3 = (A(ARG, n) for n in (1, 2, 3))
     xy, uv = mul(x, y), mul(u, v)

@@ -8,7 +8,7 @@ from typing import Optional
 from .core import Element
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     """Outcome of one exhaustively checked condition.
 
@@ -37,7 +37,7 @@ class CheckReport:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteReport:
     """Aggregate of the reports of every condition in a named suite."""
 

@@ -21,7 +21,7 @@ from superbol.constructions import (
     minus_algebra,
     plus_algebra,
 )
-from superbol import core, engine
+from superbol import core, dsl, engine
 from superbol.core import EvenMap, SuperSpace
 from superbol.dsl import parse_identity
 from superbol.engine import (
@@ -329,9 +329,12 @@ def test_oracle_shares_nothing_with_the_kernel():
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
     assert {"_Leaf", "_Twisted", "_Product"} <= node_classes and tables
-    assert {"_compile", "_chunk", "_branches", "_components", "_Coding", "_columns", "_decode", "_signs"} <= helpers
+    assert {
+        "_plan", "_compile", "_shape", "_Shape", "_chunk", "_branches", "_components", "_Coding", "_columns", "_decode",
+        "_signs",
+    } <= helpers
     assert {"coded", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
-    kernel = {"node", "_build", "_tensor", "_twist_columns"} | helpers | methods | tables
+    kernel = {"_node", "_tensor", "_twist_columns", "_SHAPES", "plan"} | helpers | methods | tables
     for name in _ORACLE:
         names = set()
         for node in ast.walk(functions[name]):
@@ -446,9 +449,9 @@ def test_mixed_tops_example_mixes_top_node_kinds():
         names = zip(identity.variables, report.counterexample)
         assignment = {var: space.basis_vector(space.index(n)) for var, n in names}
         signs = set()
-        for term in identity.terms:
+        for term, (shape, *_) in zip(identity.terms, engine._plan(identity)):
             value = evaluate_on_elements(dataclasses.replace(identity, terms=(term,)), binding, assignment)
-            kind = _top_kind(binding.node(term.expr)[0])
+            kind = _top_kind(binding._node(shape))
             signs.update((kind, target, c > 0) for target, c in value.coords.items())
         assert any(
             (other, target, not positive) in signs
@@ -456,6 +459,57 @@ def test_mixed_tops_example_mixes_top_node_kinds():
             if kind in kinds
             for other in kinds - {kind}
         ), identity_name
+
+
+# Binary, ternary and twist symbols, three signs and a non-unit coefficient.
+_PLAN_TEXT = "[A(x),{y,z,w}] - (-1)^{x.y + z} {A(y),[x,z],A(w)} + 1/2 A^2({[x,y],z,w}) = 0"
+
+
+def _bracket_braces(structure: HomBinaryTernary) -> StructureBinding:
+    return StructureBinding(structure.space, {"[]": structure.binary, "{}": structure.ternary}, structure.twist)
+
+
+def test_identity_plan_holds_no_binding_values():
+    """One identity checked on binding A, then B, then a fresh A reports what
+    a freshly parsed copy reports on a fresh binding each time: the plan kept
+    on the identity carries nothing of the binding that built it."""
+    identity = parse_identity(_PLAN_TEXT, name="plan")
+    structures = (_MIXED_DENOMINATORS, _LAST_FIRST, _MIXED_DENOMINATORS)
+    reports = [check(_bracket_braces(structures[0]), identity)]
+    plan = identity.plan
+    reports += [check(_bracket_braces(structure), identity) for structure in structures[1:]]
+    assert identity.plan is plan
+    assert reports == [check(_bracket_braces(s), parse_identity(_PLAN_TEXT, name="plan")) for s in structures]
+    assert not reports[0].passed and not reports[1].passed and reports[0] != reports[1]
+
+
+def test_later_checks_reuse_the_plan(monkeypatch):
+    """After an identity's first check, a check on a fresh binding builds no
+    shape and hashes no identity, term, expression or sign."""
+    identity = parse_identity(_PLAN_TEXT, name="plan")
+    first = check(_bracket_braces(_LAST_FIRST), identity)
+
+    def forbidden(*args):
+        raise AssertionError("structure-free compile work repeated")
+
+    monkeypatch.setattr(engine, "_shape", forbidden)
+    for kind in (dsl.Identity, dsl.Term, dsl.Call, dsl.Twist, dsl.Var, dsl.SignPoly):
+        monkeypatch.setattr(kind, "__hash__", forbidden)
+    assert check(_bracket_braces(_LAST_FIRST), identity) == first
+
+
+def test_sub_terms_equal_up_to_renaming_share_one_node():
+    """Two identities whose terms and sub-terms are equal up to renaming get
+    one shape per sub-term, so the second builds no node on the binding the
+    first was checked on."""
+    first = parse_identity("((x*y)*A(z)) - (A(x)*(y*z)) = 0")
+    second = parse_identity("(A(u)*(w*v)) - ((v*w)*A(u)) = 0")
+    binding = star_binding(HomSuperalgebra(_MIXED_DENOMINATORS.binary, _MIXED_DENOMINATORS.twist))
+    check(binding, first)
+    nodes = dict(binding._nodes)
+    check(binding, second)
+    assert all(a[0] is b[0] for a, b in zip(first.plan, reversed(second.plan)))
+    assert binding._nodes == nodes and len(nodes) == 5
 
 
 def test_associator_reads_its_sides_from_kept_tables():

@@ -5,6 +5,7 @@ from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.constructions import hom_jordan_triple, plus_algebra, yau_twist_algebra
 from superbol.dsl import SignPoly, Var, build_identity
+from superbol import operators
 from superbol.engine import check, evaluate_on_elements
 from superbol.operators import (
     A,
@@ -149,6 +150,26 @@ def test_operator_identity_agrees_with_element_level_check(plus51, plus51_lemmas
     assert not operator_report.passed and not element_report.passed
     assert lemma.variables[-1] == "t"
     assert element_report.counterexample[:4] == operator_report.counterexample[:-1]
+
+
+def test_lemma_identities_are_built_once_per_value():
+    """Each of the two lemma tuples is built once per process, however the
+    argument is passed, and every call returns that one tuple."""
+    for args, kwargs in (((), {}), ((True,), {}), ((), {"untwisted": True}), ((False,), {}), ((1,), {})):
+        lemma_identities(*args, **kwargs)
+    assert operators._lemma_identities.cache_info().misses == 2
+    for untwisted in (True, False):
+        assert lemma_identities(untwisted) is lemma_identities(untwisted)
+
+
+def test_shared_lemmas_carry_no_structure(plus51):
+    """The shared lemma identities, checked on a perturbed product between
+    two runs on plus(example_5_1), leave the second run equal to the first."""
+    first = verify_operator_lemmas(plus51)
+    broken = perturbed_jordan(plus51)
+    binding = lemma_binding(broken)
+    assert not all(check(binding, identity).passed for identity in lemma_identities(broken.twist.is_identity()))
+    assert verify_operator_lemmas(plus51) == first
 
 
 # Both sign candidates are identities of their own; one of each pair fails.
