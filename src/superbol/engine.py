@@ -22,12 +22,17 @@ of the argument tables by component.  The binding keys its nodes by shape,
 so sub-terms equal up to renaming share one node.  Each check reads its
 terms' nodes by one lookup each and derives only the common scale, the
 weights and the integer codes.  The top node of each term is never
-materialized.  The residue is built in chunks, one per basis index of the
-identity's first variable: each term's top node accumulates its signed,
-weighted values straight into the chunk, through the one ``accumulate``
-loop of its node kind (a product joins in place, a twist maps its
-argument's accumulated rows, and a node whose table is already kept walks
-it); the same loops, at unit weight, build the kept tables.
+materialized.  Each term's top node accumulates its signed, weighted
+values straight into the residue, through the one ``accumulate`` loop of
+its node kind (a product joins in place, a twist maps its argument's
+accumulated rows, and a node whose table is already kept walks it); the
+same loops, at unit weight, build the kept tables.  How much residue is
+held at once follows the size of the check: a check of at most
+``_ONE_PASS`` = 9**4 tuples builds its whole residue in one chunk, every
+node accumulating unrestricted, as a kept table is built; a larger one
+builds it in chunks, one per basis index of the identity's first variable,
+so it never holds more than one chunk's codes.  9**4 is one such chunk of
+a dim-9, five-variable check.
 
 Inside a check a tuple is keyed by one integer, its code: the tuple's index
 in the identity's variable order, packed in base d, shifted above n parity
@@ -37,7 +42,8 @@ arguments' codes, the parity bits index the term's table of signed weights,
 and codes sort as their tuples do.  Only failing codes are decoded back to
 tuples; kept tables stay keyed by tuple.  The chunks are visited in order,
 so a failing check stops at the first chunk with a nonzero residue and
-reports that chunk's least failing tuple.  A tuple outside the support of
+reports that chunk's least failing tuple; a check in one chunk sorts all of
+its failing codes, with the same first one.  A tuple outside the support of
 every term has residue zero, so visiting only the supports decides every one
 of the d**n tuples and the count stays exact.
 
@@ -273,7 +279,8 @@ class _Coding:
         (``dict`` or :func:`_components`); only the rows at ``fix`` if it is
         given.  Whole tables are coded once per check, in a ``memo`` the
         terms share, keyed by node and the identity positions its key lands
-        on; a restriction is coded afresh, since each chunk reads its own."""
+        on; a restriction is coded afresh, since each chunk of a chunked
+        check reads its own, and a check in one chunk restricts nothing."""
         key = None if fix is not None else (form, node, self.positions[offset:offset + node.width])
         coded = self._memo.get(key)
         if coded is None:
@@ -534,13 +541,18 @@ def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[t
     return scale, terms
 
 
-def _chunk(terms: list[tuple], index: int) -> dict[int, dict[int, int]]:
+# The most tuples a check decides in one chunk; a larger check is chunked by
+# the basis index of its first variable.
+_ONE_PASS = 9**4
+
+
+def _chunk(terms: list[tuple], index: Optional[int]) -> dict[int, dict[int, int]]:
     """The scaled residues of every tuple whose first variable is basis vector
-    ``index`` and at which some term has a product, keyed by code; they may
-    hold zero entries."""
+    ``index`` (of every tuple if ``index`` is None) and at which some term
+    has a product, keyed by code; they may hold zero entries."""
     residue: dict[int, dict[int, int]] = {}
     for node, position, coding in terms:
-        node.accumulate((position, index), residue, coding)
+        node.accumulate(None if index is None else (position, index), residue, coding)
     return residue
 
 
@@ -551,11 +563,13 @@ def _element(space: SuperSpace, vector: Mapping[int, int], scale: int) -> Elemen
 def _nonzero(binding: StructureBinding, identity: Identity):
     """Every tuple with a nonzero residue and that residue as an Element,
     keyed by basis-index tuple in the order of ``identity.variables``, in
-    lexicographic order, one chunk at a time.  A chunk with no nonzero entry
-    is passed over by one test; only a failing chunk sorts its codes."""
+    lexicographic order, one chunk at a time: one chunk of all the tuples if
+    there are at most ``_ONE_PASS``, else one per basis index of the first
+    variable.  A chunk with no nonzero entry is passed over by one test;
+    only a failing chunk sorts its codes."""
     space, arity = binding.space, identity.arity
     scale, terms = _compile(binding, identity)
-    for index in range(space.dim):
+    for index in [None] if space.dim**arity <= _ONE_PASS else range(space.dim):
         residue = _chunk(terms, index)
         if not any(map(any, map(dict.values, residue.values()))):
             continue

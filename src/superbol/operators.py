@@ -297,17 +297,20 @@ def _signs(signs: tuple[int, ...]) -> str:
 
 
 def _additivity(jordan: HomSuperalgebra) -> CheckReport:
-    """L(x+y) = L(x) + L(y) on basis pairs: a tautology of the bilinear extension."""
+    """L(x+y) = L(x) + L(y) on basis pairs: a tautology of the bilinear extension.
+
+    Each ``L(x)(t)`` is multiplied once per basis pair, and ``L(x+y)(t)`` only
+    for pairs ``i <= j``: both sides are symmetric in ``x`` and ``y``, so the
+    lexicographically first failing ordered pair has ``i <= j`` and is the
+    reported counterexample, while all d**2 pairs are decided."""
     space, star = jordan.space, jordan.binary
     basis = [space.basis_vector(i) for i in range(space.dim)]
-    counterexample = None
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        x, y = basis[i], basis[j]
-        if counterexample is None and any(
-            bin_mul(star, x + y, t) != bin_mul(star, x, t) + bin_mul(star, y, t) for t in basis
-        ):
-            counterexample = (space.names[i], space.names[j])
-    return CheckReport("left_mul_additivity", counterexample is None, space.dim**2, counterexample)
+    left = [[bin_mul(star, x, t) for t in basis] for x in basis]
+    for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
+        x = basis[i] + basis[j]
+        if any(bin_mul(star, x, t) != a + b for t, a, b in zip(basis, left[i], left[j])):
+            return CheckReport("left_mul_additivity", False, space.dim**2, (space.names[i], space.names[j]))
+    return CheckReport("left_mul_additivity", True, space.dim**2)
 
 
 def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:

@@ -23,6 +23,7 @@ from superbol import (
     builtin_example,
     plus_algebra,
 )
+from superbol.dsl import Call, SignPoly, Term, Twist, Var, build_identity
 from superbol.engine import check, evaluate_on_elements
 
 
@@ -120,10 +121,12 @@ _scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
-def graded_structures(draw):
-    """A random (p|q) space of dim <= 4 with a sparse grading-respecting binary
-    and ternary tensor and a random even twist, scalars of denominator 1..3."""
-    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+def graded_structures(draw, min_dim=1, binary_densities=(0, 30, 70), ternary_densities=(0, 10, 40)):
+    """A random (p|q) space of dim ``min_dim``..4 with a sparse
+    grading-respecting binary and ternary tensor and a random even twist,
+    scalars of denominator 1..3.  Each tensor holds an entry at a key with a
+    percent chance drawn from its ``densities``."""
+    parities = draw(st.lists(st.integers(0, 1), min_size=min_dim, max_size=4))
     space = SuperSpace.build((f"e{i}", parity) for i, parity in enumerate(parities))
     dim = space.dim
 
@@ -138,10 +141,64 @@ def graded_structures(draw):
             if draw(st.integers(0, 99)) < density
         }
 
-    binary = BinaryStructure(space, tensor(2, draw(st.sampled_from((0, 30, 70)))))
-    ternary = TernaryStructure(space, tensor(3, draw(st.sampled_from((0, 10, 40)))))
+    binary = BinaryStructure(space, tensor(2, draw(st.sampled_from(binary_densities))))
+    ternary = TernaryStructure(space, tensor(3, draw(st.sampled_from(ternary_densities))))
     twist = EvenMap(space, tuple(
         tuple(draw(_scalars) if space.parity(t) == space.parity(s) and draw(st.booleans()) else 0 for s in range(dim))
         for t in range(dim)
     ))
     return HomBinaryTernary(binary, ternary, twist)
+
+
+_ARITIES = {"*": 2, "[]": 2, "o": 2, "{}": 3, "<>": 3}
+_NAMES = ("x", "y", "z", "u", "v")
+
+
+@st.composite
+def random_identities(draw):
+    """A multilinear identity in 2..5 variables over ``*``, ``[]``, ``o``,
+    ``{}`` and ``<>``.
+
+    Each term is a random tree over a permutation of the variables, with a
+    twist power 0..3 at any node, random sign monomials and a coefficient of
+    denominator 1..3.  Some identities hold in every structure: the drawn
+    terms followed by their negations in random order, or a drawn term
+    ``e`` as ``A^a(A^b(e)) - A^(a+b)(e)``.  Most are left free.
+    """
+    variables = _NAMES[:draw(st.integers(2, 5))]
+
+    def tree(names):
+        if len(names) == 1:
+            expr = Var(names[0])
+        else:
+            op = draw(st.sampled_from([op for op, arity in _ARITIES.items() if arity <= len(names)]))
+            cuts = draw(st.lists(st.integers(1, len(names) - 1), min_size=_ARITIES[op] - 1,
+                                 max_size=_ARITIES[op] - 1, unique=True))
+            bounds = [0, *sorted(cuts), len(names)]
+            expr = Call(op, tuple(tree(names[a:b]) for a, b in zip(bounds, bounds[1:])))
+        return Twist(draw(st.integers(0, 3)), expr) if draw(st.integers(0, 3)) == 0 else expr
+
+    def term():
+        monomials = draw(st.sets(st.frozensets(st.sampled_from(variables), max_size=2), max_size=3))
+        coefficient = draw(st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3)))
+        return Term(coefficient, SignPoly(frozenset(monomials)), tree(list(draw(st.permutations(variables)))))
+
+    closing = draw(st.sampled_from(("free", "negate", "free", "compose")))
+    if closing == "compose":
+        e, a = term(), draw(st.integers(1, 3))
+        b = draw(st.integers(0, 3 - a))
+        terms = [
+            Term(e.coefficient, e.sign, Twist(a, Twist(b, e.expr))),
+            Term(-e.coefficient, e.sign, Twist(a + b, e.expr)),
+        ]
+    else:
+        terms = [term() for _ in range(draw(st.integers(1, 3)))]
+    if closing == "negate":
+        # each term's negation, by its coefficient or by a constant sign monomial
+        negations = [
+            Term(-t.coefficient, t.sign, t.expr) if draw(st.booleans())
+            else Term(t.coefficient, t.sign + SignPoly(frozenset({frozenset()})), t.expr)
+            for t in terms
+        ]
+        terms += draw(st.permutations(negations))
+    return build_identity("random", variables, tuple(terms))

@@ -2,15 +2,17 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 import reference
-from conftest import bench_families, graded_structures, oracle_agreement, random_element
+from conftest import bench_families, graded_structures, oracle_agreement, random_element, random_identities
 from reference import koszul
 from superbol.catalog import SPACE_1_2, builtin_example, example_5_1_beta
 from superbol.constructions import (
@@ -31,6 +33,7 @@ from superbol.engine import (
     evaluate_on_elements,
     tabulate,
 )
+from superbol.reports import CheckReport
 from superbol.structures import (
     BINARY_MULTIPLICATIVITY,
     TERNARY_MULTIPLICATIVITY,
@@ -208,13 +211,9 @@ _MUTATED_M21 = {
 }
 
 
-def test_kernel_paths_agree_in_any_order():
-    """On a mutated bol(M(2|1)) (dim 9), each suite's identities give the
-    pinned reports of ``_MUTATED_M21``, and checked on one binding, forward
-    or in reverse, the reports of fresh bindings.  Forward, ``[x,y]`` and
-    ``{x,y,z}`` are top nodes before any table is kept; in reverse, they are
-    top nodes read from the tables that ``ternary_derivation`` and
-    ``binary_ternary_compat`` kept."""
+def _mutated_m21() -> dict[str, HomBinaryTernary]:
+    """bol(M(2|1)) (dim 9) with one bracket and one ternary entry perturbed,
+    untwisted for BOL and twisted by a diagonal automorphism for HOM_BOL."""
     families = bench_families()
     bol = bol_from_right_alternative(families.matrix_superalgebra(2, 1), Convention.UNIT, checked=False)
     space, index = bol.space, bol.space.index
@@ -223,8 +222,21 @@ def test_kernel_paths_agree_in_any_order():
         key = tuple(map(index, names))
         constants[key] = constants.get(key, space.zero()) + space.basis_vector(index(target))
     beta = families.diagonal_automorphism(2, 1, (1, -3, Fraction(1, 2)))
-    for name, twist in (("BOL", bol.twist), ("HOM_BOL", beta)):
-        mutated = HomBinaryTernary(BinaryStructure(space, binary), TernaryStructure(space, ternary), twist)
+    return {
+        name: HomBinaryTernary(BinaryStructure(space, binary), TernaryStructure(space, ternary), twist)
+        for name, twist in (("BOL", bol.twist), ("HOM_BOL", beta))
+    }
+
+
+def test_kernel_paths_agree_in_any_order():
+    """On a mutated bol(M(2|1)) (dim 9), each suite's identities give the
+    pinned reports of ``_MUTATED_M21``, and checked on one binding, forward
+    or in reverse, the reports of fresh bindings.  Forward, ``[x,y]`` and
+    ``{x,y,z}`` are top nodes before any table is kept; in reverse, they are
+    top nodes read from the tables that ``ternary_derivation`` and
+    ``binary_ternary_compat`` kept."""
+    for name, mutated in _mutated_m21().items():
+        space = mutated.space
         spec = suite(name)
         fresh = [check(binding_for(mutated, spec), identity) for identity in spec.identities]
         pinned = [
@@ -334,7 +346,7 @@ def test_oracle_shares_nothing_with_the_kernel():
         "_signs",
     } <= helpers
     assert {"coded", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
-    kernel = {"_node", "_tensor", "_twist_columns", "_SHAPES", "plan"} | helpers | methods | tables
+    kernel = {"_node", "_tensor", "_twist_columns", "_SHAPES", "_ONE_PASS", "plan"} | helpers | methods | tables
     for name in _ORACLE:
         names = set()
         for node in ast.walk(functions[name]):
@@ -388,7 +400,8 @@ _differential = settings(
 
 # Every nonzero constant has the last basis vector as its first argument, and
 # the twist is diagonal, so many identities first fail in the last chunk of
-# the kernel (the tuples whose first variable is the last basis vector).
+# the kernel's per-index path (the tuples whose first variable is the last
+# basis vector).
 _LAST = SuperSpace.build([("e0", 0), ("e1", 1), ("e2", 1)])
 _LAST_FIRST = HomBinaryTernary(
     BinaryStructure.from_table(_LAST, {("e2", "e0"): {"e1": 1, "e2": -2}, ("e2", "e1"): {"e0": 3}, ("e2", "e2"): {"e0": -1}}),
@@ -525,27 +538,97 @@ def test_associator_reads_its_sides_from_kept_tables():
     assert not report.passed
 
 
+# Each residue path of the kernel, forced by the largest check it builds in
+# one chunk: every check in one chunk, or every check one chunk per basis
+# index of its first variable.  The limit is patched inside a test body, since
+# hypothesis refuses function-scoped fixtures.
+_ONE_PASS_LIMITS = {"one-pass": math.inf, "per-index": 0}
+_residue_paths = pytest.mark.parametrize("one_pass", _ONE_PASS_LIMITS.values(), ids=_ONE_PASS_LIMITS.keys())
+
+
+@_residue_paths
 @_differential
 @given(graded_structures())
 @example(_LAST_FIRST)
 @example(_MIXED_TOPS)
 @example(_MIXED_DENOMINATORS)
-def test_kernel_agrees_with_element_evaluation(structure):
-    for name in _DIFFERENTIAL_SUITES:
-        spec = suite(name)
-        binding = binding_for(structure, spec)
-        for identity in spec.identities:
-            report = check(binding, identity)
-            assert (report.passed, report.counterexample, report.residue) == _reference(binding, identity), (
-                name,
-                identity.name,
-            )
-            assert report.tuples_checked == structure.space.dim ** identity.arity
+def test_kernel_agrees_with_element_evaluation(one_pass, structure):
+    with mock.patch.object(engine, "_ONE_PASS", one_pass):
+        for name in _DIFFERENTIAL_SUITES:
+            spec = suite(name)
+            binding = binding_for(structure, spec)
+            for identity in spec.identities:
+                report = check(binding, identity)
+                assert (report.passed, report.counterexample, report.residue) == _reference(binding, identity), (
+                    name,
+                    identity.name,
+                )
+                assert report.tuples_checked == structure.space.dim ** identity.arity
 
 
-def test_tabulate_keeps_the_nonzero_values_of_a_failing_check(ex51):
+def _every_symbol(structure: HomBinaryTernary) -> StructureBinding:
+    """``*`` and ``[]`` bound to the binary tensor, ``o`` to its transpose,
+    ``{}`` to the ternary tensor and ``<>`` to it with its arguments rotated."""
+    space, binary, ternary = structure.space, structure.binary.constants, structure.ternary.constants
+    transposed = BinaryStructure(space, {(j, i): value for (i, j), value in binary.items()})
+    rotated = TernaryStructure(space, {(j, k, i): value for (i, j, k), value in ternary.items()})
+    ops = {"*": structure.binary, "[]": structure.binary, "o": transposed, "{}": structure.ternary, "<>": rotated}
+    return StructureBinding(space, ops, structure.twist)
+
+
+def _reference_table(binding, identity):
+    """The element-level evaluation's nonzero values on every basis tuple, in
+    lexicographic order."""
+    space, table = binding.space, {}
+    for indices in itertools.product(range(space.dim), repeat=identity.arity):
+        assignment = {var: space.basis_vector(i) for var, i in zip(identity.variables, indices)}
+        value = evaluate_on_elements(identity, binding, assignment)
+        if not value.is_zero():
+            table[indices] = value
+    return table
+
+
+@settings(_differential, max_examples=30)
+@given(graded_structures(2, (70, 100), (40, 70)), random_identities())
+def test_random_identities_agree_with_element_evaluation(structure, identity):
+    """On random identities over every product symbol, both residue paths
+    give the report and the table of a lexicographic walk of the
+    element-level evaluation."""
+    space = structure.space
+    table = _reference_table(_every_symbol(structure), identity)
+    first = next(iter(table), None)
+    expected = CheckReport(
+        identity.name,
+        first is None,
+        space.dim**identity.arity,
+        first and tuple(space.names[i] for i in first),
+        first and table[first],
+    )
+    for one_pass in _ONE_PASS_LIMITS.values():
+        with mock.patch.object(engine, "_ONE_PASS", one_pass):
+            assert check(_every_symbol(structure), identity) == expected, one_pass
+            assert tabulate(_every_symbol(structure), identity) == table, one_pass
+
+
+def test_one_pass_agrees_with_chunks_above_the_limit():
+    """BOL's ``ternary_derivation`` on the mutated bol(M(2|1)) has 9**5
+    tuples, above the limit, so it is built one chunk per basis index;
+    forced into one chunk it gives the same report and the same table."""
+    structure, spec = _mutated_m21()["BOL"], suite("BOL")
+    identity = spec.identities[-1]
+    assert identity.name == "ternary_derivation" and structure.space.dim**identity.arity > engine._ONE_PASS
+    chunked = check(binding_for(structure, spec), identity), tabulate(binding_for(structure, spec), identity)
+    with mock.patch.object(engine, "_ONE_PASS", math.inf):
+        whole = check(binding_for(structure, spec), identity), tabulate(binding_for(structure, spec), identity)
+    assert whole == chunked
+    assert chunked[0].counterexample == ("e11", "e12", "e31", "e13", "e31") and chunked[1]
+
+
+@_residue_paths
+def test_tabulate_keeps_the_nonzero_values_of_a_failing_check(one_pass, ex51, monkeypatch):
     """tabulate walks the tuples check walks: its first key is check's
     counterexample and its value there is check's residue."""
+    monkeypatch.setattr(engine, "_ONE_PASS", one_pass)
     identity = parse_identity("(x*y) - (-1)^{x.y} (y*x) = 0", name="supercommutativity")
     binding = star_binding(ex51)
     table = tabulate(binding, identity)

@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
-from conftest import oracle_agreement
+from conftest import bench_families, oracle_agreement
 from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.constructions import hom_jordan_triple, plus_algebra, yau_twist_algebra
 from superbol.dsl import SignPoly, Var, build_identity
 from superbol import operators
 from superbol.engine import check, evaluate_on_elements
+from superbol.reports import CheckReport
 from superbol.operators import (
     A,
     L1,
@@ -194,3 +197,56 @@ def test_lemma_verdicts_agree_with_element_oracle(plus51, perturbed, failing):
     )
     assert [name for name, agree, _ in results if not agree] == []
     assert {name for name, _, passed in results if not passed} == failing
+
+
+def _additivity_inputs():
+    """The plus algebras the benchmark verifies the operator lemmas on."""
+    plus51 = plus_algebra(builtin_example("example_5_1"))
+    return (
+        plus51,
+        yau_twist_algebra(plus51, example_5_1_beta(2, 0)),
+        plus_algebra(bench_families().grassmann(1)),
+    )
+
+
+def _ordered_walk(jordan):
+    """The first failing pair of L(x+y) = L(x) + L(y) over all ordered basis
+    pairs, every side multiplied afresh; None if every pair holds."""
+    space, star = jordan.space, jordan.binary
+    basis = [space.basis_vector(i) for i in range(space.dim)]
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        x, y = basis[i], basis[j]
+        if any(
+            operators.bin_mul(star, x + y, t) != operators.bin_mul(star, x, t) + operators.bin_mul(star, y, t)
+            for t in basis
+        ):
+            return space.names[i], space.names[j]
+    return None
+
+
+def test_additivity_passes_on_the_lemma_inputs():
+    for jordan in _additivity_inputs():
+        report = operators._additivity(jordan)
+        assert report == CheckReport("left_mul_additivity", True, jordan.space.dim**2, None)
+        assert _ordered_walk(jordan) is None
+
+
+# Left factors on which a product stops being additive: a sum of two basis
+# vectors, a sum holding the last two basis vectors, twice the last one.
+_SKEWS = {
+    "two-coordinates": lambda x: len(x.coords) == 2,
+    "last-two": lambda x: x.coords.keys() >= {x.space.dim - 2, x.space.dim - 1},
+    "doubled-last": lambda x: x.coords.get(x.space.dim - 1) == 2,
+}
+
+
+@pytest.mark.parametrize("skew", _SKEWS.values(), ids=_SKEWS.keys())
+def test_additivity_reports_the_first_ordered_counterexample(skew, monkeypatch):
+    """With ``x*t`` plus ``t`` on skewed left factors, the report names the
+    pair a walk over all ordered pairs finds first."""
+    product = operators.bin_mul
+    monkeypatch.setattr(operators, "bin_mul", lambda s, x, t: product(s, x, t) + t if skew(x) else product(s, x, t))
+    for jordan in _additivity_inputs():
+        expected = _ordered_walk(jordan)
+        assert expected is not None
+        assert operators._additivity(jordan) == CheckReport("left_mul_additivity", False, jordan.space.dim**2, expected)
