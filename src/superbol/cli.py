@@ -5,9 +5,11 @@ failed (the report names the suite, identity, counterexample tuple, and
 residue), 2 input or usage error, 3 internal error (an unexpected exception,
 reported on stderr without a traceback).
 
-The module imports only the standard library.  Each command imports the
-superbol modules it runs when it runs, so ``examples`` loads no engine and
-``check`` no constructions.
+The module imports only the standard library.  Each command imports only
+the superbol modules it runs, when it runs, so ``examples`` loads no engine
+and ``check`` no constructions.  No superbol module generates code at
+import: its value classes are hand-written on ``core.Value``, so no command
+loads ``dataclasses`` or ``inspect``.
 """
 
 from __future__ import annotations

@@ -16,11 +16,10 @@ carrying the stage name and the failing report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Element, EvenMap, Scalar, SuperSpace, apply_map, compose, power, rational
+from .core import Element, EvenMap, Scalar, SuperSpace, Value, apply_map, compose, power, rational
 from .dsl import ANGLE, BRACES, STAR, build_identity, parse_identity
 from .reports import CheckReport
 from .structures import (
@@ -218,8 +217,7 @@ def nth_derived(structure: HomBinaryTernary, n: int) -> HomBinaryTernary:
     return structure if n == 0 else yau_twist_bol(structure, structure.twist, 2**n - 1, checked=False)
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Value):
     """A supersymmetric even bilinear form given by its Gram matrix.
 
     Supersymmetry: <x|y> = (-1)^{|x||y|} <y|x> on basis pairs.  Evenness
@@ -227,23 +225,23 @@ class BilinearForm:
     map into the even scalar field; violating matrices are rejected.
     """
 
-    space: SuperSpace
-    gram: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("space", "gram")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(rational(v) for v in row) for row in self.gram)
+    def __init__(self, space: SuperSpace, gram: tuple[tuple[Fraction, ...], ...]):
+        rows = tuple(tuple(rational(v) for v in row) for row in gram)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "gram", rows)
-        dim = self.space.dim
+        dim = space.dim
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValueError(f"expected a {dim}x{dim} Gram matrix")
         for i, j in itertools.product(range(dim), repeat=2):
-            pi, pj = self.space.parity(i), self.space.parity(j)
+            pi, pj = space.parity(i), space.parity(j)
             if pi != pj and rows[i][j] != 0:
-                names = (self.space.names[i], self.space.names[j])
+                names = (space.names[i], space.names[j])
                 raise ValueError(f"form must vanish on the mixed-parity pair {names}")
             sign = -1 if pi == 1 and pj == 1 else 1
             if rows[i][j] != sign * rows[j][i]:
-                names = (self.space.names[i], self.space.names[j])
+                names = (space.names[i], space.names[j])
                 raise ValueError(f"form is not supersymmetric at pair {names}")
 
     @staticmethod

@@ -7,7 +7,7 @@ Parities live in Z/2: 0 is even, 1 is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -42,21 +42,75 @@ def rational(value: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class SuperSpace:
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its compared fields, in constructor order, in
+    ``_fields`` and sets them in its own ``__init__`` with
+    ``object.__setattr__``; its ``__slots__`` also hold any field that takes
+    no part in comparison.  Equality holds only between instances of one
+    class and compares what one ``operator.attrgetter`` of ``_fields``,
+    made once per class, returns; hashing hashes the same.  ``repr`` reads
+    ``Name(field=value, ...)`` over ``_fields``.  Assignment and deletion
+    raise ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state) -> None:
+        """Restore the slots that ``copy`` and ``pickle`` saved."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class SuperSpace(Value):
     """An ordered, named basis with a parity per basis vector."""
 
-    basis: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("basis",)
 
-    def __post_init__(self) -> None:
-        if not self.basis:
+    def __init__(self, basis: tuple[tuple[str, int], ...]):
+        if not basis:
             raise ValueError("superspace needs at least one basis vector")
-        names = [name for name, _ in self.basis]
+        names = [name for name, _ in basis]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate basis names in {names}")
-        for name, parity in self.basis:
+        for name, parity in basis:
             if parity not in (EVEN, ODD):
                 raise ValueError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not SuperSpace:
+            return NotImplemented
+        return self.basis == other.basis
+
+    __hash__ = Value.__hash__
 
     @staticmethod
     def build(pairs: Iterable[tuple[str, int]]) -> "SuperSpace":
@@ -206,8 +260,7 @@ def parity_of(element: Element):
     return MIXED
 
 
-@dataclass(frozen=True)
-class EvenMap:
+class EvenMap(Value):
     """A parity-preserving linear self-map stored as a (target, source) matrix.
 
     One pass at construction coerces every entry to a rational, checks the
@@ -217,13 +270,12 @@ class EvenMap:
     an entry crossing parities raises ``ValueError``.
     """
 
-    space: SuperSpace
-    matrix: tuple[tuple[Fraction, ...], ...] = field(default=())
-    columns: tuple[dict[int, Fraction], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("space", "matrix")
+    __slots__ = (*_fields, "columns")
 
-    def __post_init__(self) -> None:
-        n, parities = self.space.dim, self.space.parities
-        rows = tuple(tuple(map(rational, row)) for row in self.matrix)
+    def __init__(self, space: SuperSpace, matrix: tuple[tuple[Fraction, ...], ...] = ()):
+        n, parities = space.dim, space.parities
+        rows = tuple(tuple(map(rational, row)) for row in matrix)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"expected a {n}x{n} matrix")
         columns = tuple({} for _ in range(n))
@@ -233,6 +285,7 @@ class EvenMap:
                     if parities[target] != parities[source]:
                         raise ValueError("matrix is not an even map: an entry crosses parities")
                     columns[source][target] = entry
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "columns", columns)
 

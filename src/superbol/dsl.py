@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
+
+from .core import Value
 
 RESERVED = {"A", "as", "o"}
 
@@ -58,8 +59,7 @@ class MultilinearityError(ValueError):
     """Raised when a term does not use every variable exactly once."""
 
 
-@dataclass(frozen=True, slots=True)
-class SignPoly:
+class SignPoly(Value):
     """A GF(2) polynomial of degree <= 2 in variable parities.
 
     ``monomials`` is a set of frozensets of variable names: the empty set is
@@ -67,7 +67,10 @@ class SignPoly:
     ``(-1)**evaluate(...)`` is the sign the polynomial contributes.
     """
 
-    monomials: frozenset[frozenset[str]] = field(default_factory=frozenset)
+    __slots__ = _fields = ("monomials",)
+
+    def __init__(self, monomials: frozenset[frozenset[str]] = frozenset()):
+        object.__setattr__(self, "monomials", monomials)
 
     @staticmethod
     def zero() -> "SignPoly":
@@ -111,47 +114,58 @@ class SignPoly:
         return " + ".join(rendered)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Twist:
-    power: int
-    arg: "Expr"
+class Twist(Value):
+    __slots__ = _fields = ("power", "arg")
+
+    def __init__(self, power: int, arg: "Expr"):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    op: str
-    args: tuple["Expr", ...]
+class Call(Value):
+    __slots__ = _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["Expr", ...]):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
 
 
 Expr = Union[Var, Twist, Call]
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    coefficient: Fraction
-    sign: SignPoly
-    expr: Expr
+class Term(Value):
+    __slots__ = _fields = ("coefficient", "sign", "expr")
+
+    def __init__(self, coefficient: Fraction, sign: SignPoly, expr: Expr):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Value):
     """A parsed multilinear identity, asserted to equal zero.
 
     ``plan`` is the engine's compile plan of the identity, derived from the
     identity alone and kept on it at its first check; it takes no part in
-    equality, hashing or ``repr``, and a copy made by ``replace`` starts
-    without one.
+    equality, hashing or ``repr``, and is not a constructor argument, so
+    every new identity, a copy with other terms included, starts without one.
     """
 
-    name: str
-    variables: tuple[str, ...]
-    terms: tuple[Term, ...]
-    plan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("name", "variables", "terms")
+    __slots__ = (*_fields, "plan")
+
+    def __init__(self, name: str, variables: tuple[str, ...], terms: tuple[Term, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "plan", None)
 
     @property
     def arity(self) -> int:
@@ -171,7 +185,8 @@ def _max_twist(expr: Expr) -> int:
 
 def without_twist(identity: Identity) -> Identity:
     """``identity`` with every twist power removed: its statement at the identity twist."""
-    return replace(identity, terms=tuple(replace(term, expr=_untwisted(term.expr)) for term in identity.terms))
+    terms = tuple(Term(term.coefficient, term.sign, _untwisted(term.expr)) for term in identity.terms)
+    return Identity(identity.name, identity.variables, terms)
 
 
 def _untwisted(expr: Expr) -> Expr:
@@ -207,11 +222,13 @@ def leaf_weights(expr: Expr, twist_weight: int) -> dict[str, int]:
     return {v: w + step for arg in expr.args for v, w in leaf_weights(arg, twist_weight).items()}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "int" | "ident" | one of the punctuation characters
-    text: str
-    position: int
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int):
+        self.kind = kind  # "int" | "ident" | one of the punctuation characters
+        self.text = text
+        self.position = position
 
 
 def _lex(source: str) -> list[_Token]:

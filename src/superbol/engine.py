@@ -68,11 +68,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Element, EvenMap, SuperSpace, apply_map, power
+from .core import Element, EvenMap, SuperSpace, Value, apply_map, power
 from .dsl import ANGLE, BRACES, BRACKET, JORDAN, STAR, Expr, Identity, SignPoly, Twist, Var
 from .reports import CheckReport
 from .structures import BinaryStructure, ProductTensor, TernaryStructure, bin_mul, tern_mul
@@ -82,8 +81,7 @@ class UnboundSymbolError(KeyError):
     """An identity uses an operation symbol the binding does not supply."""
 
 
-@dataclass(frozen=True)
-class StructureBinding:
+class StructureBinding(Value):
     """Assignment of the DSL's operation symbols to concrete structures.
 
     ``ops`` maps a symbol ("*", "[]", "o", "{}", "<>") to a binary or ternary
@@ -101,29 +99,31 @@ class StructureBinding:
     (shapes, key positions, sign tables) is compiled once per identity and
     kept on it, never here.  The common scale, the weights, the integer
     codes a check keys its residue by, and the coded copies of the tables it
-    reads, last only for that check.  A new binding starts with empty
-    tables, so it never sees values of an old one.
+    reads, last only for that check.  The three tables, ``_tensors`` by
+    symbol, ``_columns`` by twist power and ``_nodes`` by shape, are the
+    slots outside ``_fields``: they take no part in equality or ``repr``,
+    and a new binding starts with them empty, so it never sees values of an
+    old one.
     """
 
-    space: SuperSpace
-    ops: Mapping[str, ProductTensor]
-    twist: EvenMap
-    _tensors: dict[str, tuple[int, dict]] = field(init=False, repr=False, compare=False, default_factory=dict)
-    _columns: dict[int, Optional[tuple[int, list[dict[int, int]]]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _nodes: dict[_Shape, _Node] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _fields = ("space", "ops", "twist")
+    __slots__ = (*_fields, "_tensors", "_columns", "_nodes")
 
-    def __post_init__(self) -> None:
-        for symbol, structure in self.ops.items():
-            if structure.space != self.space:
+    def __init__(self, space: SuperSpace, ops: Mapping[str, ProductTensor], twist: EvenMap):
+        for symbol, structure in ops.items():
+            if structure.space != space:
                 raise ValueError(f"structure bound to {symbol!r} lives in a different space")
             expected = BinaryStructure if symbol in (STAR, BRACKET, JORDAN) else TernaryStructure
             if not isinstance(structure, expected):
                 raise ValueError(f"symbol {symbol!r} needs a {expected.__name__}")
-        if self.twist.space != self.space:
+        if twist.space != space:
             raise ValueError("twist lives in a different space")
-        object.__setattr__(self, "ops", dict(self.ops))
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "ops", dict(ops))
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "_tensors", {})
+        object.__setattr__(self, "_columns", {})
+        object.__setattr__(self, "_nodes", {})
 
     def op(self, symbol: str) -> ProductTensor:
         try:

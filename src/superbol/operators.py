@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from .constructions import hom_jordan_triple
+from .core import Value
 from .dsl import ANGLE, STAR, Call, Expr, Identity, SignPoly, Term, Twist, Var, build_identity, variable_counts
 from .engine import StructureBinding, check
 from .reports import CheckReport, SuiteReport
@@ -33,11 +33,13 @@ from .suites import run_suite
 ARG = Var("t")
 
 
-@dataclass(frozen=True)
-class Combination:
+class Combination(Value):
     """A signed sum of DSL expressions; with ``t`` free, the operator t -> sum."""
 
-    terms: tuple[Term, ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...]):
+        object.__setattr__(self, "terms", terms)
 
     def __add__(self, other: "Operand") -> "Combination":
         return Combination(self.terms + _lift(other).terms)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Element
+from .core import Element, Value
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+class CheckReport(Value):
     """Outcome of one exhaustively checked condition.
 
     ``counterexample`` is the lexicographically first failing tuple of basis
@@ -18,12 +16,17 @@ class CheckReport:
     check passed.
     """
 
-    name: str
-    passed: bool
-    tuples_checked: int
-    counterexample: Optional[tuple[str, ...]] = None
-    residue: Optional[Element] = None
-    detail: str = ""
+    __slots__ = _fields = ("name", "passed", "tuples_checked", "counterexample", "residue", "detail")
+
+    def __init__(self, name: str, passed: bool, tuples_checked: int,
+                 counterexample: Optional[tuple[str, ...]] = None, residue: Optional[Element] = None,
+                 detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "tuples_checked", tuples_checked)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "detail", detail)
 
     def describe(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -37,12 +40,14 @@ class CheckReport:
         return text
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteReport:
+class SuiteReport(Value):
     """Aggregate of the reports of every condition in a named suite."""
 
-    suite: str
-    reports: tuple[CheckReport, ...] = field(default=())
+    __slots__ = _fields = ("suite", "reports")
+
+    def __init__(self, suite: str, reports: tuple[CheckReport, ...] = ()):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "reports", reports)
 
     @property
     def passed(self) -> bool:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .core import Element, EvenMap, SuperSpace
+from .core import Element, EvenMap, SuperSpace, Value
 from .structures import (
     BinaryStructure,
     Convention,
@@ -45,14 +44,18 @@ class AlgebraFileError(ValueError):
     """Malformed or inconsistent algebra file, or a structure no file can hold."""
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
-    """A structure plus the file-level context it travels with."""
+class AlgebraDocument(Value):
+    """A structure plus the file-level context it travels with; ``maps``
+    defaults to a new empty dict."""
 
-    name: str
-    structure: HomStructure
-    maps: Mapping[str, EvenMap] = field(default_factory=dict)
-    convention: Convention = Convention.UNIT
+    __slots__ = _fields = ("name", "structure", "maps", "convention")
+
+    def __init__(self, name: str, structure: HomStructure, maps: Optional[Mapping[str, EvenMap]] = None,
+                 convention: Convention = Convention.UNIT):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "maps", {} if maps is None else maps)
+        object.__setattr__(self, "convention", convention)
 
     @property
     def kind(self) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Mapping, Optional
 
@@ -28,6 +27,7 @@ from .core import (
     EvenMap,
     Scalar,
     SuperSpace,
+    Value,
     compose,
     parity_of,
 )
@@ -56,23 +56,22 @@ class Convention(enum.Enum):
         return Fraction(1, 2) if self.half else Fraction(1)
 
 
-@dataclass(frozen=True)
-class ProductTensor:
+class ProductTensor(Value):
     """Sparse structure constants of an ``arity``-linear product; a subclass fixes ``arity``."""
 
     arity: ClassVar[int]
-    space: SuperSpace
-    constants: Mapping[tuple[int, ...], Element]
+    __slots__ = _fields = ("space", "constants")
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: SuperSpace, constants: Mapping[tuple[int, ...], Element]):
         cleaned = {}
-        for key, value in self.constants.items():
+        for key, value in constants.items():
             if len(key) != self.arity:
                 raise ValueError(f"key {key} of a {type(self).__name__} needs {self.arity} indices")
-            if value.space != self.space:
+            if value.space != space:
                 raise ValueError(f"constant at {key} lives in a different space")
             if not value.is_zero():
                 cleaned[tuple(map(int, key))] = value
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "constants", dict(sorted(cleaned.items())))
 
     @classmethod
@@ -88,31 +87,32 @@ class ProductTensor:
 class BinaryStructure(ProductTensor):
     """Sparse structure constants for a binary product on a superspace."""
 
+    __slots__ = ()
     arity = 2
 
 
 class TernaryStructure(ProductTensor):
     """Sparse structure constants for a ternary product on a superspace."""
 
+    __slots__ = ()
     arity = 3
 
 
-@dataclass(frozen=True)
-class HomStructure:
+class HomStructure(Value):
     """Products sharing one superspace and one even twist; a subclass fixes which product is absent."""
 
     absent: ClassVar[Optional[str]] = None  # the product a subclass fixes as None
-    binary: Optional[BinaryStructure]
-    ternary: Optional[TernaryStructure]
-    twist: EvenMap
+    __slots__ = _fields = ("binary", "ternary", "twist")
 
-    def __post_init__(self) -> None:
-        for label in ("binary", "ternary"):
-            product = getattr(self, label)
+    def __init__(self, binary: Optional[BinaryStructure], ternary: Optional[TernaryStructure], twist: EvenMap):
+        for label, product in (("binary", binary), ("ternary", ternary)):
             if product is None and label != self.absent:
                 raise ValueError(f"a {type(self).__name__} needs a {label} product")
-            if product is not None and product.space != self.twist.space:
+            if product is not None and product.space != twist.space:
                 raise ValueError(f"the products and twist of a {type(self).__name__} must share one superspace")
+        object.__setattr__(self, "binary", binary)
+        object.__setattr__(self, "ternary", ternary)
+        object.__setattr__(self, "twist", twist)
 
     @property
     def space(self) -> SuperSpace:
@@ -127,6 +127,7 @@ class HomStructure:
 class HomSuperalgebra(HomStructure):
     """A binary structure together with an even twisting map; it has no ternary product."""
 
+    __slots__ = ()
     absent = "ternary"
 
     def __init__(self, binary: BinaryStructure, twist: EvenMap):
@@ -136,6 +137,7 @@ class HomSuperalgebra(HomStructure):
 class HomTripleSystem(HomStructure):
     """A ternary structure together with an even twisting map; it has no binary product."""
 
+    __slots__ = ()
     absent = "binary"
 
     def __init__(self, ternary: TernaryStructure, twist: EvenMap):
@@ -144,6 +146,8 @@ class HomTripleSystem(HomStructure):
 
 class HomBinaryTernary(HomStructure):
     """A binary and a ternary structure sharing one space and one twist."""
+
+    __slots__ = ()
 
 
 def _multilinear(structure: ProductTensor, operands: tuple[Element, ...]) -> Element:

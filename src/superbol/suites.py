@@ -29,12 +29,11 @@ run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .core import Element, EvenMap, SuperSpace
-from .dsl import STAR, Identity, parse_identity, without_twist
+from .core import Element, EvenMap, SuperSpace, Value
+from .dsl import STAR, Identity, Term, parse_identity, without_twist
 from .reports import SuiteReport
 from .structures import (
     BINARY_MULTIPLICATIVITY,
@@ -49,13 +48,18 @@ BIND_BINARY = "binary"
 BIND_TERNARY = "ternary"
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    name: str
-    identities: tuple[Identity, ...]
-    # (symbol, source): BIND_BINARY, BIND_TERNARY, or a derived product's identity;
-    # the twist symbol always binds the structure's twist
-    bindings: tuple[tuple[str, Union[str, Identity]], ...]
+class SuiteSpec(Value):
+    """A named suite: its identities and its ``(symbol, source)`` bindings,
+    each source BIND_BINARY, BIND_TERNARY or a derived product's identity;
+    the twist symbol always binds the structure's twist."""
+
+    __slots__ = _fields = ("name", "identities", "bindings")
+
+    def __init__(self, name: str, identities: tuple[Identity, ...],
+                 bindings: tuple[tuple[str, Union[str, Identity]], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "identities", identities)
+        object.__setattr__(self, "bindings", bindings)
 
 
 _SUPERCOMMUTATOR_TEXT = "(x*y) - (-1)^{x.y} (y*x) = 0"
@@ -264,8 +268,10 @@ def tabulated(
 
 
 def scaled(identity: Identity, factor: Fraction) -> Identity:
-    """``identity`` with every term's coefficient multiplied by ``factor``."""
-    return replace(identity, terms=tuple(replace(t, coefficient=t.coefficient * factor) for t in identity.terms))
+    """A new identity: ``identity`` with every term's coefficient multiplied
+    by ``factor``, compiled afresh at its first check."""
+    terms = tuple(Term(t.coefficient * factor, t.sign, t.expr) for t in identity.terms)
+    return Identity(identity.name, identity.variables, terms)
 
 
 def graded_product(binary: BinaryStructure, conv: Convention, product: Identity) -> BinaryStructure:

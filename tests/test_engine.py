@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import itertools
 import math
@@ -25,7 +24,7 @@ from superbol.constructions import (
 )
 from superbol import core, dsl, engine
 from superbol.core import EvenMap, SuperSpace
-from superbol.dsl import parse_identity
+from superbol.dsl import Identity, parse_identity
 from superbol.engine import (
     StructureBinding,
     UnboundSymbolError,
@@ -327,7 +326,7 @@ def test_oracle_shares_nothing_with_the_kernel():
     node_classes = {
         name for name, value in vars(engine).items() if isinstance(value, type) and issubclass(value, engine._Node)
     }
-    tables = {f.name for f in dataclasses.fields(StructureBinding) if not f.init}
+    tables = set(StructureBinding.__slots__) - set(StructureBinding._fields)
     helpers = {
         node.name
         for node in tree.body
@@ -463,7 +462,7 @@ def test_mixed_tops_example_mixes_top_node_kinds():
         assignment = {var: space.basis_vector(space.index(n)) for var, n in names}
         signs = set()
         for term, (shape, *_) in zip(identity.terms, engine._plan(identity)):
-            value = evaluate_on_elements(dataclasses.replace(identity, terms=(term,)), binding, assignment)
+            value = evaluate_on_elements(Identity(identity.name, identity.variables, (term,)), binding, assignment)
             kind = _top_kind(binding._node(shape))
             signs.update((kind, target, c > 0) for target, c in value.coords.items())
         assert any(

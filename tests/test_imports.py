@@ -11,8 +11,9 @@ import sys
 import pytest
 
 from conftest import fresh_env, run_fresh
-from superbol.catalog import example_document
-from superbol.storage import save
+from superbol.catalog import builtin_example, example_document
+from superbol.constructions import plus_algebra
+from superbol.storage import AlgebraDocument, save
 
 # Defining module -> public names, as ``superbol`` exported them when every
 # submodule was imported eagerly.
@@ -77,13 +78,16 @@ err = io.StringIO()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     code = superbol.cli.main(sys.argv[1:])
 print(json.dumps({"package": after_package, "cli": after_cli, "code": code, "stderr": err.getvalue(),
-                  "loaded": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("superbol."))}))
+                  "loaded": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("superbol.")),
+                  "generators": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
 """
 
 
 def _command(tmp_path, *argv) -> dict:
     save(example_document("example_5_1"), tmp_path / "ex51.json")
     save(example_document("example_5_1_hombol(2,3)"), tmp_path / "hombol23.json")
+    plus = AlgebraDocument("plus", plus_algebra(builtin_example("example_5_1")))
+    save(plus, tmp_path / "plus.json")
     (tmp_path / "malformed.json").write_text('{"name": "truncated", "basis": [\n')
     return run_fresh(_LOADED, *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv))
 
@@ -96,13 +100,18 @@ def _command(tmp_path, *argv) -> dict:
         (("info", "ex51.json"), 0, {"constructions", "operators", "catalog"}),
         (("check", "hombol23.json", "--suite", "HOM_BOL"), 1, {"constructions", "operators", "catalog"}),
         (("check", "malformed.json", "--suite", "BOL"), 2, {"engine", "constructions", "operators", "catalog"}),
+        (("construct", "hom_bol", "ex51.json", "-o", "hb.json"), 0, {"operators", "catalog"}),
+        (("lemmas", "plus.json"), 0, {"catalog"}),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
+    """A command imports only the modules it runs, and no module imports
+    ``dataclasses`` or ``inspect``: no class is generated at import."""
     found = _command(tmp_path, *argv)
     assert found["package"] == [] and found["cli"] == []
     assert found["code"] == code, found["stderr"]
     assert absent.isdisjoint(found["loaded"]), found["loaded"]
+    assert found["generators"] == []
 
 
 def test_library_errors_keep_their_exit_codes_in_a_fresh_interpreter(tmp_path):
