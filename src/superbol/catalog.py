@@ -9,6 +9,7 @@ emitting the other fixtures loads no engine.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import EvenMap, Scalar, SuperSpace, rational
 from .structures import (
@@ -18,6 +19,9 @@ from .structures import (
     HomTripleSystem,
     TernaryStructure,
 )
+
+if TYPE_CHECKING:
+    from .constructions import BilinearForm
 
 SPACE_1_2 = SuperSpace.build([("i", 0), ("j", 1), ("k", 1)])
 SPACE_2_1 = SuperSpace.build([("i", 0), ("j", 0), ("k", 1)])

@@ -17,6 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .reports import SuiteReport
+    from .storage import AlgebraDocument
+
 
 class UsageError(ValueError):
     """Bad command usage or bad input; maps to exit code 2."""

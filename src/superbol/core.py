@@ -157,11 +157,12 @@ class SuperSpace(Value):
         return Element(self, {self.index(n): rational(c) for n, c in coords.items()})
 
 
-class Element:
+class Element(Value):
     """A finitely supported rational coordinate vector over a superspace.
 
     Zero coordinates are never stored.  Instances are immutable; arithmetic
-    returns fresh elements.
+    returns fresh elements.  Equality, hashing and ``repr`` are its own:
+    equal coordinates over an equal space compare equal.
     """
 
     __slots__ = ("space", "coords")
@@ -176,9 +177,6 @@ class Element:
                 cleaned[index] = value
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", dict(sorted(cleaned.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
 
     def is_zero(self) -> bool:
         return not self.coords

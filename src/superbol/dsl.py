@@ -239,9 +239,9 @@ def _lex(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(source) and source[j].isdigit():
+            while j < len(source) and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(_Token("int", source[i:j], i))
             i = j

@@ -10,29 +10,27 @@ depends on the identity alone is compiled once per :class:`Identity`, on
 its first check, and kept on it as its ``plan``: per term, the shape of its
 expression, where its key positions land in the identity's variable order,
 the key position of the identity's first variable, its coefficient and its
-table of signs.  A shape is a sub-term up to renaming of its variables.
-Shapes are interned in one table for the whole process, so sub-terms equal
-up to renaming, in any identities, are one shape object, hashed by
-identity.  What depends on the structure is compiled once per
-:class:`StructureBinding`, on first use, and kept by it: each shape becomes
-a node holding a table of its nonzero values only, built once by joining
-its argument tables through an index of the tensor's support, nested by
-every index but the last whatever the product's arity, and through an index
-of the argument tables by component.  The binding keys its nodes by shape,
-so sub-terms equal up to renaming share one node.  Each check reads its
-terms' nodes by one lookup each and derives only the common scale, the
-weights and the integer codes.  The top node of each term is never
-materialized.  Each term's top node accumulates its signed, weighted
-values straight into the residue, through the one ``accumulate`` loop of
-its node kind (a product joins in place, a twist maps its argument's
-accumulated rows, and a node whose table is already kept walks it); the
-same loops, at unit weight, build the kept tables.  How much residue is
-held at once follows the size of the check: a check of at most
-``_ONE_PASS`` = 9**4 tuples builds its whole residue in one chunk, every
-node accumulating unrestricted, as a kept table is built; a larger one
-builds it in chunks, one per basis index of the identity's first variable,
-so it never holds more than one chunk's codes.  9**4 is one such chunk of
-a dim-9, five-variable check.
+table of signs.  A shape is a variable or a product up to renaming of its
+variables, under the summed power of the twists around it.  Shapes are
+interned for the whole process, so equal ones, in any identities, are one
+object, hashed by identity.  What depends on the structure is compiled once
+per :class:`StructureBinding`, on first use, and kept by it, twists
+included: each shape becomes a node of one of two kinds, holding a table of
+its nonzero values only.  A leaf's table is its twist power's columns.  A
+product's is built once by joining its argument tables through an index of
+the tensor's support, whose rows are already mapped through the twist
+power's columns, nested by every index but the last whatever the product's
+arity, and through an index of the argument tables by component.  Sub-terms
+equal up to renaming share one node.  Each check reads its terms' nodes by
+one lookup each and derives only the common scale, the weights and the
+integer codes.  A term's top node is never materialized: if its table is
+kept it walks it into the residue, signed and weighted, and otherwise it
+joins straight into it, by the join that builds kept tables at unit
+weight.  How much residue is held at once follows the size of the check: a
+check of at most ``_ONE_PASS`` = 9**4 tuples builds its whole residue in
+one chunk; a larger one builds it in chunks, one per basis index of the
+identity's first variable, so it never holds more than one chunk's codes.
+9**4 is one such chunk of a dim-9, five-variable check.
 
 Inside a check a tuple is keyed by one integer, its code: the tuple's index
 in the identity's variable order, packed in base d, shifted above n parity
@@ -89,21 +87,21 @@ class StructureBinding(Value):
     bound structures must share one superspace.
 
     The binding also holds the kernel behind :func:`check`, compiled once
-    per binding when a check first needs it: each bound structure as integer
-    constants indexed by their support, each non-identity twist power as
-    integer sparse columns read from the power's nonzero entries (an
-    identity twist compiles to no powers at all), and one node per sub-term
-    shape, whose table of nonzero values, keyed by basis-index tuple, is
-    joined once and shared by every sub-term of that shape, across all
-    identities checked on this binding.  What depends on the identity alone
-    (shapes, key positions, sign tables) is compiled once per identity and
-    kept on it, never here.  The common scale, the weights, the integer
-    codes a check keys its residue by, and the coded copies of the tables it
-    reads, last only for that check.  The three tables, ``_tensors`` by
-    symbol, ``_columns`` by twist power and ``_nodes`` by shape, are the
-    slots outside ``_fields``: they take no part in equality or ``repr``,
-    and a new binding starts with them empty, so it never sees values of an
-    old one.
+    per binding when a check first needs it: each non-identity twist power
+    as integer sparse columns (an identity twist compiles to no powers at
+    all), each bound structure followed by each twist power a check needs
+    as integer constants indexed by their support, and one node per
+    sub-term shape, a leaf or a product with any twist folded into its
+    table or tensor, whose table of nonzero values, keyed by basis-index
+    tuple, is built once and shared by every sub-term of that shape, across
+    all identities checked on this binding.  What depends on the identity
+    alone is compiled once per identity and kept on it, never here.  The
+    common scale, the weights, the integer codes a check keys its residue
+    by, and the coded copies of the tables it reads, last only for that
+    check.  The three tables, ``_tensors`` by symbol and power, ``_columns``
+    by twist power and ``_nodes`` by shape, are the slots outside
+    ``_fields``: they take no part in equality or ``repr``, and a new
+    binding starts with them empty, so it never sees values of an old one.
     """
 
     _fields = ("space", "ops", "twist")
@@ -131,24 +129,30 @@ class StructureBinding(Value):
         except KeyError:
             raise UnboundSymbolError(f"no structure bound to operation symbol {symbol!r}") from None
 
-    def _tensor(self, symbol: str) -> tuple[int, dict]:
-        """The bound structure as ``(scale, support)``: its constants times
-        ``scale``, the lcm of their denominators, each row a tuple of
-        ``(target, entry)`` pairs, nested by every index of its key but the
-        last for the join of :class:`_Product`: the first index maps to the
-        :func:`_branches` of the rest, ``i -> [(j, row)]`` for a binary
-        structure and ``i -> [(j, [(k, row)])]`` for a ternary one."""
-        if symbol not in self._tensors:
-            constants = {key: value.coords for key, value in self.op(symbol).constants.items() if value.coords}
-            scale = math.lcm(*(c.denominator for coords in constants.values() for c in coords.values()))
+    def _tensor(self, symbol: str, power: int = 0) -> tuple[int, dict]:
+        """The bound structure, followed by the ``power``-th twist power if
+        ``power`` has columns, as ``(scale, support)``: its integer constants
+        times ``scale``, each nonzero row a tuple of ``(target, entry)``
+        pairs, nested by every index of its key but the last for the join of
+        :class:`_Product`: the first index maps to the :func:`_branches` of
+        the rest, ``i -> [(j, row)]`` for a binary structure and ``i -> [(j,
+        [(k, row)])]`` for a ternary one."""
+        if (symbol, power) not in self._tensors:
+            constants = self.op(symbol).constants
+            scale = math.lcm(*(c.denominator for value in constants.values() for c in value.coords.values()))
+            twist_scale, columns = self._twist_columns(power) if power else (1, None)
             support: dict = {}
-            for key, coords in constants.items():
-                index = support
-                for i in key[:-1]:
-                    index = index.setdefault(i, {})
-                index[key[-1]] = tuple(_integral(coords, scale).items())
-            self._tensors[symbol] = scale, {i: _branches(index) for i, index in support.items()}
-        return self._tensors[symbol]
+            for key, value in constants.items():
+                row = _integral(value.coords, scale)
+                if columns:
+                    row = _mapped(row, columns)
+                if row:
+                    index = support
+                    for i in key[:-1]:
+                        index = index.setdefault(i, {})
+                    index[key[-1]] = tuple(row.items())
+            self._tensors[symbol, power] = scale * twist_scale, {i: _branches(index) for i, index in support.items()}
+        return self._tensors[symbol, power]
 
     def _twist_columns(self, n: int) -> Optional[tuple[int, list[dict[int, int]]]]:
         """The n-th twist power as ``(scale, columns)``, its sparse columns
@@ -164,20 +168,17 @@ class StructureBinding(Value):
 
     def _node(self, shape: _Shape) -> _Node:
         """The compiled node of a sub-term shape, built from its arguments'
-        nodes on first use and kept."""
-        node = self._nodes.get(shape)
+        nodes on first use and kept by ``(kind, power, *args)``, a power that
+        compiles to the identity read as 0: such a shape shares its untwisted node."""
+        columns = self._twist_columns(shape.power) if shape.power else None
+        key = (shape.kind, shape.power if columns else 0, *shape.args)
+        node = self._nodes.get(key)
         if node is None:
-            kind, args = shape.kind, shape.args
-            if kind is None:
-                node = _Leaf(self.space.parities)
-            elif isinstance(kind, int):
-                columns = self._twist_columns(kind)
-                node = self._node(args[0])
-                if columns is not None:
-                    node = _Twisted(*columns, node)
+            if shape.kind is None:
+                node = _Leaf(self.space.parities, *columns or ())
             else:
-                node = _Product(*self._tensor(kind), [self._node(arg) for arg in args])
-            self._nodes[shape] = node
+                node = _Product(*self._tensor(*key[:2]), [self._node(arg) for arg in shape.args])
+            self._nodes[key] = node
         return node
 
 
@@ -219,6 +220,15 @@ def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapp
 def _integral(coords: Mapping[int, Fraction], scale: int) -> dict[int, int]:
     """``scale`` times ``coords``; ``scale`` is a multiple of every denominator."""
     return {target: c.numerator * (scale // c.denominator) for target, c in coords.items()}
+
+
+def _mapped(vector: Mapping[int, int], columns: Sequence[Mapping[int, int]]) -> dict[int, int]:
+    """The integer ``vector`` mapped through integer sparse ``columns``, without zeros."""
+    out: dict[int, int] = {}
+    for source, c in vector.items():
+        for target, entry in columns[source].items():
+            out[target] = out.get(target, 0) + c * entry
+    return {target: c for target, c in out.items() if c}
 
 
 def _decode(code: int, dim: int, n: int) -> tuple[int, ...]:
@@ -295,15 +305,15 @@ class _Node:
     """A compiled sub-term, keyed by the tuple of basis indices of its own
     ``width`` variables in traversal order.
 
-    ``accumulate(fix, sink, coding)`` adds the node's values
-    at the keys with basis index ``fix[1]`` at position ``fix[0]`` (all keys
-    if ``fix`` is None) into ``sink``, each under its code in ``coding`` and
-    weighted by ``coding.weights[code & coding.mask]``.  A node whose table
-    is kept walks it; otherwise each kind has one loop that computes its
-    values straight into the sink: a product joins its arguments' coded
-    tables, adding their codes, and a twist maps its argument's accumulated
-    rows through its columns.  So a term's top node is never materialized.
-    ``table()`` builds the kept table with that same loop, at unit weight
+    There are two kinds, :class:`_Leaf` and :class:`_Product`, and any
+    twist is already folded into their tables.  ``accumulate(fix, sink,
+    coding)`` adds the node's values at the keys with basis index ``fix[1]``
+    at position ``fix[0]`` (all keys if ``fix`` is None) into ``sink``, each
+    under its code in ``coding`` and weighted by ``coding.weights[code &
+    coding.mask]``.  A node whose table is kept, as a leaf's always is,
+    walks it; a product without one joins its arguments' coded tables
+    straight into the sink.  So a term's top node is never materialized.
+    ``table()`` builds the kept table with that same join, at unit weight
     under codes of the node's own key order over the space's ``parities``,
     decodes each code back to its tuple once, and keeps it.
     """
@@ -354,40 +364,17 @@ class _Node:
             for target, c in vector.items():
                 acc[target] = acc.get(target, 0) + w * c
 
-    def _accumulate(self, fix, sink, coding) -> None:
-        raise NotImplementedError
-
 
 class _Leaf(_Node):
-    """A variable: the basis vector it is bound to."""
+    """A variable under a twist power: the power's nonzero integer sparse
+    ``columns`` times ``scale``, or the basis vectors if there are none."""
 
     __slots__ = ()
 
-    def __init__(self, parities: Sequence[int]) -> None:
-        super().__init__(1, 1, parities)
-        self._table = {(i,): {i: 1} for i in range(len(parities))}
-
-
-class _Twisted(_Node):
-    """A non-identity twist power, stored as integer sparse columns, applied
-    to a sub-term of the same key, whose weighted values it accumulates into
-    a part of its own."""
-
-    __slots__ = ("columns", "arg")
-
-    def __init__(self, scale: int, columns: list[dict[int, int]], arg: _Node) -> None:
-        super().__init__(scale * arg.scale, arg.width, arg.parities)
-        self.columns, self.arg = columns, arg
-
-    def _accumulate(self, fix, sink, coding):
-        part: dict[int, dict[int, int]] = {}
-        self.arg.accumulate(fix, part, coding)
-        columns = self.columns
-        for code, vector in part.items():
-            acc = sink.setdefault(code, {})
-            for source, c in vector.items():
-                for target, entry in columns[source].items():
-                    acc[target] = acc.get(target, 0) + c * entry
+    def __init__(self, parities: Sequence[int], scale: int = 1, columns: Optional[Sequence[dict]] = None) -> None:
+        super().__init__(scale, 1, parities)
+        columns = columns or [{i: 1} for i in range(len(parities))]
+        self._table = {(i,): column for i, column in enumerate(columns) if column}
 
 
 class _Product(_Node):
@@ -451,18 +438,18 @@ class _Product(_Node):
 class _Shape:
     """A sub-term up to renaming of its variables, interned by :func:`_shape`.
 
-    ``kind`` is None for a variable, the power for a twist and the
-    operation symbol for a product; ``args`` are the argument shapes.  Equal
-    shapes are one object, so a shape hashes and compares by identity.
+    ``kind`` is None for a variable and the operation symbol for a product,
+    ``power`` sums the powers of the twists around it and ``args`` are the
+    argument shapes.  Equal shapes are one object, hashed by identity.
     """
 
-    __slots__ = ("kind", "args")
+    __slots__ = ("kind", "power", "args")
 
-    def __init__(self, kind: Optional[int | str], args: tuple[_Shape, ...]) -> None:
-        self.kind, self.args = kind, args
+    def __init__(self, kind: Optional[str], power: int, args: tuple[_Shape, ...]) -> None:
+        self.kind, self.power, self.args = kind, power, args
 
 
-# Every shape built in this process, keyed by its kind and argument shapes.
+# Every shape built in this process, keyed by its kind, power and argument shapes.
 _SHAPES: dict[tuple, _Shape] = {}
 
 
@@ -470,16 +457,17 @@ def _shape(expr: Expr, order: list[str]) -> _Shape:
     """The interned shape of ``expr``; ``order`` collects its variables in
     traversal order.  A multilinear term holds each variable once, so two
     sub-terms are equal up to renaming iff their shapes are one object."""
+    power = 0
+    while isinstance(expr, Twist):
+        power, expr = power + expr.power, expr.arg
     if isinstance(expr, Var):
         order.append(expr.name)
-        key: tuple = (None,)
-    elif isinstance(expr, Twist):
-        key = (expr.power, _shape(expr.arg, order))
+        key: tuple = (None, power)
     else:
-        key = (expr.op, *(_shape(arg, order) for arg in expr.args))
+        key = (expr.op, power, *(_shape(arg, order) for arg in expr.args))
     shape = _SHAPES.get(key)
     if shape is None:
-        shape = _SHAPES[key] = _Shape(key[0], key[1:])
+        shape = _SHAPES[key] = _Shape(key[0], power, key[2:])
     return shape
 
 

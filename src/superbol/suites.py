@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .core import Element, EvenMap, SuperSpace, Value
 from .dsl import STAR, Identity, Term, parse_identity, without_twist
@@ -43,6 +43,9 @@ from .structures import (
     HomStructure,
     ProductTensor,
 )
+
+if TYPE_CHECKING:
+    from .engine import StructureBinding
 
 BIND_BINARY = "binary"
 BIND_TERNARY = "ternary"

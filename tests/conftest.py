@@ -160,8 +160,8 @@ def random_identities(draw):
     ``{}`` and ``<>``.
 
     Each term is a random tree over a permutation of the variables, with a
-    twist power 0..3 at any node, random sign monomials and a coefficient of
-    denominator 1..3.  Some identities hold in every structure: the drawn
+    twist power 0..3 at any node, at times nested in a second one, random
+    sign monomials and a coefficient of denominator 1..3.  Some identities hold in every structure: the drawn
     terms followed by their negations in random order, or a drawn term
     ``e`` as ``A^a(A^b(e)) - A^(a+b)(e)``.  Most are left free.
     """
@@ -176,7 +176,11 @@ def random_identities(draw):
                                  max_size=_ARITIES[op] - 1, unique=True))
             bounds = [0, *sorted(cuts), len(names)]
             expr = Call(op, tuple(tree(names[a:b]) for a, b in zip(bounds, bounds[1:])))
-        return Twist(draw(st.integers(0, 3)), expr) if draw(st.integers(0, 3)) == 0 else expr
+        if draw(st.integers(0, 3)) == 0:
+            if draw(st.booleans()):
+                expr = Twist(draw(st.integers(0, 3)), expr)
+            expr = Twist(draw(st.integers(0, 3)), expr)
+        return expr
 
     def term():
         monomials = draw(st.sets(st.frozensets(st.sampled_from(variables), max_size=2), max_size=3))

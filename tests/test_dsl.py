@@ -64,6 +64,17 @@ def test_syntax_error_carries_position():
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize(
+    "text,position", [("A^\u00b2(x) - x = 0", 2), ("\u00b3 (x*y) = 0", 0), ("A^\u0663(x) - x = 0", 2)]
+)
+def test_only_ascii_digits_are_numbers(text, position):
+    """A superscript or non-Latin digit is an unexpected character at its
+    position, not a number."""
+    with pytest.raises(IdentitySyntaxError) as err:
+        parse_identity(text)
+    assert err.value.position == position
+
+
 def test_identity_must_equal_zero():
     with pytest.raises(IdentitySyntaxError):
         parse_identity("as(x,y,z) = 1")

@@ -265,6 +265,51 @@ def test_identity_twist_compiles_to_no_powers(ex51, ex51_bol, monkeypatch):
     assert run_suite(ex51_bol, "BOL").passed
 
 
+# Twists around a bare variable, twists of twists, a zeroth power and a
+# twisted product against its folded twin, on example_5_1 under three twists:
+# singular, non-diagonal with a non-unit scale, and an involution, whose
+# square compiles to no power.  Per twist, per identity: (passed,
+# counterexample, residue) of the check and the number of tabulated tuples.
+_EDGE_TEXTS = (
+    "A^2(x) - x = 0",
+    "A(A^2(x)) = 0",
+    "(A(A(x))*A^0(y)) - A^2((x*y)) = 0",
+    "A(A((x*y))) - (A(x)*A(y)) = 0",
+)
+_EDGE_TWISTS = {
+    ((2, 0, 0), (0, 1, -1), (0, -1, 1)): (
+        (False, ("i",), {"i": 3}, 3),
+        (False, ("i",), {"i": 8}, 3),
+        (False, ("i", "j"), {"j": 2, "k": 2}, 7),
+        (False, ("i", "j"), {"j": -2}, 8),
+    ),
+    (("1/2", 0, 0), (0, 1, 2), (0, 3, -1)): (
+        (False, ("i",), {"i": "-3/4"}, 3),
+        (False, ("i",), {"i": "1/8"}, 3),
+        (False, ("i", "j"), {"k": "-27/4"}, 3),
+        (False, ("i", "j"), {"k": "13/2"}, 8),
+    ),
+    ((1, 0, 0), (0, 0, 1), (0, 1, 0)): (
+        (True, None, None, 0),
+        (False, ("i",), {"i": 1}, 3),
+        (True, None, None, 0),
+        (False, ("i", "j"), {"k": 1}, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("matrix", _EDGE_TWISTS)
+def test_folded_twist_edge_cases_are_pinned(ex51, matrix):
+    binding = StructureBinding(SPACE_1_2, {"*": ex51.binary}, EvenMap(SPACE_1_2, matrix))
+    for text, (passed, counterexample, residue, size) in zip(_EDGE_TEXTS, _EDGE_TWISTS[matrix]):
+        identity = parse_identity(text)
+        report = check(binding, identity)
+        assert (report.passed, report.counterexample, report.residue) == (
+            passed, counterexample, residue and SPACE_1_2.element(residue)
+        ), text
+        assert len(tabulate(binding, identity)) == size, text
+
+
 @st.composite
 def _code_cases(draw):
     """Parities of a space of dim <= 12, the identity positions of a term's
@@ -339,10 +384,10 @@ def test_oracle_shares_nothing_with_the_kernel():
         for item in node.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
-    assert {"_Leaf", "_Twisted", "_Product"} <= node_classes and tables
+    assert node_classes == {"_Node", "_Leaf", "_Product"} and tables
     assert {
         "_plan", "_compile", "_shape", "_Shape", "_chunk", "_branches", "_components", "_Coding", "_columns", "_decode",
-        "_signs",
+        "_signs", "_mapped",
     } <= helpers
     assert {"coded", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
     kernel = {"_node", "_tensor", "_twist_columns", "_SHAPES", "_ONE_PASS", "plan"} | helpers | methods | tables
@@ -440,15 +485,16 @@ _MIXED_TOPS = HomBinaryTernary(
     EvenMap(_TOPS, ((2, 0), (0, 3))),
 )
 _MIXED_TOP_KINDS = {
-    ("HOM_BOL", "binary_multiplicativity"): {("_Twisted", None), ("_Product", 2)},
-    ("HOM_BOL", "ternary_multiplicativity"): {("_Twisted", None), ("_Product", 3)},
-    ("HOM_BOL", "binary_ternary_compat"): {("_Product", 3), ("_Product", 2)},
+    ("HOM_BOL", "binary_multiplicativity"): {("_Product", 2, 1), ("_Product", 2, 0)},
+    ("HOM_BOL", "ternary_multiplicativity"): {("_Product", 3, 1), ("_Product", 3, 0)},
+    ("HOM_BOL", "binary_ternary_compat"): {("_Product", 3, 0), ("_Product", 2, 0)},
 }
 
 
-def _top_kind(node):
-    """A top node's class, and for a product its number of arguments."""
-    return type(node).__name__, len(node.args) if isinstance(node, engine._Product) else None
+def _top_kind(node, shape):
+    """A top node's class, for a product its number of arguments, and the
+    twist power folded into it."""
+    return type(node).__name__, len(node.args) if isinstance(node, engine._Product) else None, shape.power
 
 
 def test_mixed_tops_example_mixes_top_node_kinds():
@@ -463,7 +509,7 @@ def test_mixed_tops_example_mixes_top_node_kinds():
         signs = set()
         for term, (shape, *_) in zip(identity.terms, engine._plan(identity)):
             value = evaluate_on_elements(Identity(identity.name, identity.variables, (term,)), binding, assignment)
-            kind = _top_kind(binding._node(shape))
+            kind = _top_kind(binding._node(shape), shape)
             signs.update((kind, target, c > 0) for target, c in value.coords.items())
         assert any(
             (other, target, not positive) in signs

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from superbol.catalog import builtin_example
 from superbol.constructions import BilinearForm
 from superbol.core import EvenMap, SuperSpace
 from superbol.dsl import Call, Identity, SignPoly, Term, Twist, Var, parse_identity, without_twist
@@ -23,7 +24,7 @@ from superbol.structures import (
     HomTripleSystem,
     TernaryStructure,
 )
-from superbol.suites import SuiteSpec, scaled
+from superbol.suites import SuiteSpec, run_suite, scaled
 
 SPACE = SuperSpace((("e", 0), ("f", 1)))
 OTHER = SuperSpace((("a", 0), ("b", 1)))
@@ -195,3 +196,20 @@ def test_shallow_copies_and_pickles_are_equal():
     assert copy.copy(TWIST).columns == TWIST.columns and copy.copy(checked).plan is checked.plan
     for value in (SPACE, IDENTITY, checked):
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_elements_deep_copy_and_pickle():
+    """An ``Element`` is a value: a structure deep-copies, and a failing
+    report pickles with its residue, both back to an equal value; an
+    element still refuses assignment and deletion."""
+    ex51 = builtin_example("example_5_1")
+    assert copy.deepcopy(ex51) == ex51
+    report = run_suite(builtin_example("example_5_1_hombol(2,3)"), "HOM_BOL")
+    failing = next(item for item in report.reports if not item.passed)
+    assert failing.residue is not None and pickle.loads(pickle.dumps(failing)) == failing
+    assert pickle.loads(pickle.dumps(report)) == report
+    element = ex51.space.basis_vector("j")
+    with pytest.raises(AttributeError, match="Element is immutable"):
+        element.coords = {}
+    with pytest.raises(AttributeError, match="Element is immutable"):
+        del element.coords
