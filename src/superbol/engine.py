@@ -129,7 +129,7 @@ class StructureBinding(Value):
         except KeyError:
             raise UnboundSymbolError(f"no structure bound to operation symbol {symbol!r}") from None
 
-    def _tensor(self, symbol: str, power: int = 0) -> tuple[int, dict]:
+    def _tensor(self, symbol: str, power: int) -> tuple[int, dict]:
         """The bound structure, followed by the ``power``-th twist power if
         ``power`` has columns, as ``(scale, support)``: its integer constants
         times ``scale``, each nonzero row a tuple of ``(target, entry)``
