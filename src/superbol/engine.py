@@ -64,6 +64,7 @@ claim in the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -99,9 +100,10 @@ class StructureBinding(Value):
     common scale, the weights, the integer codes a check keys its residue
     by, and the coded copies of the tables it reads, last only for that
     check.  The three tables, ``_tensors`` by symbol and power, ``_columns``
-    by twist power and ``_nodes`` by shape, are the slots outside
-    ``_fields``: they take no part in equality or ``repr``, and a new
-    binding starts with them empty, so it never sees values of an old one.
+    by twist power and ``_nodes`` by shape and by node key, are the slots
+    outside ``_fields``: they take no part in equality or ``repr``, and a
+    new binding starts with them empty, so it never sees values of an old
+    one.
     """
 
     _fields = ("space", "ops", "twist")
@@ -167,26 +169,36 @@ class StructureBinding(Value):
         return self._columns[n]
 
     def _node(self, shape: _Shape) -> _Node:
-        """The compiled node of a sub-term shape, built from its arguments'
-        nodes on first use and kept by ``(kind, power, *args)``, a power that
-        compiles to the identity read as 0: such a shape shares its untwisted node."""
-        columns = self._twist_columns(shape.power) if shape.power else None
-        key = (shape.kind, shape.power if columns else 0, *shape.args)
-        node = self._nodes.get(key)
+        """The compiled node of a sub-term shape, kept by the shape and by
+        ``(kind, power, *argument nodes)``, a power that compiles to the
+        identity read as 0.  A shape is looked up first; a new one is built
+        from its arguments' nodes only if no node has its key, so under an
+        identity twist ``A(x)`` shares the node of ``x``, and ``(A(x)*A(y))``
+        that of ``(x*y)``."""
+        node = self._nodes.get(shape)
         if node is None:
-            if shape.kind is None:
-                node = _Leaf(self.space.parities, *columns or ())
-            else:
-                node = _Product(*self._tensor(*key[:2]), [self._node(arg) for arg in shape.args])
-            self._nodes[key] = node
+            columns = self._twist_columns(shape.power) if shape.power else None
+            args = [self._node(arg) for arg in shape.args]
+            key = (shape.kind, shape.power if columns else 0, *args)
+            node = self._nodes.get(key)
+            if node is None:
+                if shape.kind is None:
+                    node = _Leaf(self.space.parities, *columns or ())
+                else:
+                    node = _Product(*self._tensor(*key[:2]), args)
+                self._nodes[key] = node
+            self._nodes[shape] = node
         return node
 
 
-def _twist_powers(binding: StructureBinding, identity: Identity) -> dict[int, EvenMap]:
-    return {n: power(binding.twist, n) for n in range(identity.max_twist_power() + 1)}
+@functools.lru_cache(maxsize=8)
+def _twist_powers(twist: EvenMap, highest: int) -> tuple[EvenMap, ...]:
+    """The powers 0..highest of ``twist``, built once for a walk that
+    evaluates one identity on one binding tuple after tuple."""
+    return tuple(power(twist, n) for n in range(highest + 1))
 
 
-def _evaluate_expr(expr: Expr, env: Mapping[str, Element], binding: StructureBinding, powers: Mapping[int, EvenMap]) -> Element:
+def _evaluate_expr(expr: Expr, env: Mapping[str, Element], binding: StructureBinding, powers: Sequence[EvenMap]) -> Element:
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, Twist):
@@ -198,7 +210,7 @@ def _evaluate_expr(expr: Expr, env: Mapping[str, Element], binding: StructureBin
     return bin_mul(structure, *values)
 
 
-def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapping[str, int], binding: StructureBinding, powers: Mapping[int, EvenMap]) -> Element:
+def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapping[str, int], binding: StructureBinding, powers: Sequence[EvenMap]) -> Element:
     residue = binding.space.zero()
     for term in identity.terms:
         sign = term.sign.sign(parities)
@@ -606,7 +618,7 @@ def evaluate_on_elements(
     independent oracle for the basis-tuple checker: a passing identity must
     return zero here for every assignment.
     """
-    powers = _twist_powers(binding, identity)
+    powers = _twist_powers(binding.twist, identity.max_twist_power())
     variables = identity.variables
     split = {var: assignment[var].homogeneous_parts() for var in variables}
     residue = binding.space.zero()

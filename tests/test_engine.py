@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -403,6 +404,44 @@ def test_oracle_shares_nothing_with_the_kernel():
         assert not names & kernel, (name, names & kernel)
 
 
+def test_oracle_builds_twist_powers_once_per_twist(ex51, monkeypatch):
+    """A walk that evaluates one identity on one binding tuple after tuple
+    builds each twist power once."""
+    built = []
+    monkeypatch.setattr(engine, "power", lambda twist, n: built.append(n) or core.power(twist, n))
+    engine._twist_powers.cache_clear()
+    identity = parse_identity("A^2((x*y)) - (A(x)*A(y)) = 0")
+    binding = star_binding(HomSuperalgebra(ex51.binary, example_5_1_beta(2, 3)))
+    for x, y in itertools.product(SPACE_1_2.names, repeat=2):
+        evaluate_on_elements(identity, binding, {"x": SPACE_1_2.basis_vector(x), "y": SPACE_1_2.basis_vector(y)})
+    engine._twist_powers.cache_clear()
+    assert built == [0, 1, 2]
+
+
+_PRODUCTS = {"bin_mul", "tern_mul"}
+
+
+def test_element_products_serve_only_the_oracle():
+    """In the package, ``bin_mul`` and ``tern_mul`` are named only by their
+    definitions in ``structures``, by the engine's import and by the
+    oracle's functions: no other code evaluates a product element-wise."""
+    found = set()
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            owner = getattr(statement, "name", "import" if isinstance(statement, ast.ImportFrom) else "module")
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    name = getattr(node, "name", None)  # a definition or an imported name
+                if name in _PRODUCTS:
+                    found.add((path.stem, owner))
+    allowed = {("structures", name) for name in _PRODUCTS} | {("engine", name) for name in ("import", *_ORACLE)}
+    assert found and found <= allowed, found - allowed
+
+
 def test_references_import_only_core_and_structures():
     """The tests' element-level references reach the library only through
     ``superbol.core`` and ``superbol.structures``, so no engine, suite or
@@ -567,7 +606,21 @@ def test_sub_terms_equal_up_to_renaming_share_one_node():
     nodes = dict(binding._nodes)
     check(binding, second)
     assert all(a[0] is b[0] for a, b in zip(first.plan, reversed(second.plan)))
-    assert binding._nodes == nodes and len(nodes) == 5
+    assert binding._nodes == nodes and len(set(nodes.values())) == 5
+
+
+def test_products_of_one_node_share_one_node(ex51_bol):
+    """Under an identity twist ``A(x)`` reads the node of ``x``, so
+    ``(A(x)*A(y))`` reads the product node of ``(x*y)``: HOM_BOL on the
+    untwisted example_5_1_bol builds 9 product nodes, not one per shape."""
+    identity = parse_identity("(A(x)*A(y)) - (x*y) = 0")
+    binding = star_binding(plus_algebra(builtin_example("example_5_1")))
+    assert check(binding, identity).passed
+    assert binding._node(identity.plan[0][0]) is binding._node(identity.plan[1][0])
+    spec = suite("HOM_BOL")
+    binding = binding_for(ex51_bol, spec)
+    assert all(check(binding, identity).passed for identity in spec.identities)
+    assert sum(isinstance(node, engine._Product) for node in set(binding._nodes.values())) == 9
 
 
 def test_associator_reads_its_sides_from_kept_tables():

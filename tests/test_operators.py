@@ -1,10 +1,14 @@
 import itertools
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import bench_families, oracle_agreement
 from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
+from superbol.core import SuperSpace
 from superbol.constructions import hom_jordan_triple, plus_algebra, yau_twist_algebra
 from superbol.dsl import SignPoly, Var, build_identity
 from superbol import operators
@@ -14,6 +18,7 @@ from superbol.operators import (
     A,
     L1,
     L2,
+    L4,
     Lxy,
     koszul,
     lemma_binding,
@@ -21,7 +26,7 @@ from superbol.operators import (
     mul,
     verify_operator_lemmas,
 )
-from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, tern_mul
+from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, bin_mul, grading_check, tern_mul
 from superbol.suites import run_suite
 
 x, y, z = (Var(name) for name in "xyz")
@@ -71,11 +76,14 @@ def _pair_swap(report):
 
 def test_pair_operator_swap_antisymmetric(plus51_lemmas):
     assert _pair_swap(plus51_lemmas).detail == "holds with sign -1; asserting -1"
+    assert plus51_lemmas["difference_reduction_pairs"].detail == "swapped-quadruple sign +1 holds; asserting +1"
 
 
 def test_pair_swap_both_signs_on_zero_algebra():
     zero = HomSuperalgebra.untwisted(BinaryStructure.zero(SPACE_1_2))
-    assert _pair_swap(verify_operator_lemmas(zero)).detail == "holds with sign +1/-1; asserting -1"
+    report = verify_operator_lemmas(zero)
+    assert _pair_swap(report).detail == "holds with sign +1/-1; asserting -1"
+    assert report["difference_reduction_pairs"].detail == "swapped-quadruple sign +1/-1 holds; asserting +1"
 
 
 def test_pair_action_matches_derived_triple(plus51):
@@ -175,7 +183,7 @@ def test_shared_lemmas_carry_no_structure(plus51):
     assert verify_operator_lemmas(plus51) == first
 
 
-# Both sign candidates are identities of their own; one of each pair fails.
+# The checked sign candidate of each two-sign lemma, which fails on plus(example_5_1).
 CANDIDATES = {"pair_operator_swap", "difference_reduction_pairs"}
 PERTURBED_FAILURES = {
     "jordan_cyclic_operator_sum",
@@ -199,6 +207,41 @@ def test_lemma_verdicts_agree_with_element_oracle(plus51, perturbed, failing):
     assert {name for name, _, passed in results if not passed} == failing
 
 
+def _formal_sum(terms):
+    """The coefficient of each (sign, expression) pair, zeros dropped."""
+    sums = Counter()
+    for term in terms:
+        sums[term.sign, term.expr] += term.coefficient
+    return {key: c for key, c in sums.items() if c}
+
+
+def _two_sign_candidates():
+    """Each two-sign lemma's candidates from the public builders, as (kept,
+    dropped): the checked sign and the asserted one."""
+    x, y, u, v = (Var(name) for name in "xyuv")
+    swap = koszul((u, v), (x, y))
+    pairs = L2(A(x, 2), A(y, 2)) @ L2(u, v) - (L2(A(u, 2), A(v, 2)) @ L2(x, y)).signed(swap) - L4(x, y, u, v)
+    reversed_pairs = L4(y, x, v, u).signed(koszul(u, v) + koszul(x, y))
+    return {
+        "pair_operator_swap": tuple(L2(x, y) - L2(y, x).signed(koszul(x, y), s) for s in (+1, -1)),
+        "difference_reduction_pairs": (pairs + reversed_pairs, pairs - reversed_pairs),
+    }
+
+
+@pytest.mark.parametrize("untwisted", [True, False])
+def test_asserted_signs_cancel_term_by_term(untwisted):
+    """The asserted candidate of each two-sign lemma sums to zero before any
+    structure is bound, so it holds on every structure; the built lemma is
+    the other candidate, and no lemma in the tuple cancels."""
+    identities = {identity.name: identity for identity in lemma_identities(untwisted)}
+    assert len(identities) == len(lemma_identities(untwisted)) == (18 if untwisted else 17)
+    for name, (kept, dropped) in _two_sign_candidates().items():
+        assert _formal_sum(dropped.terms) == {}, name
+        assert identities[name].terms == kept.terms
+    for identity in identities.values():
+        assert _formal_sum(identity.terms), identity.name
+
+
 def _additivity_inputs():
     """The plus algebras the benchmark verifies the operator lemmas on."""
     plus51 = plus_algebra(builtin_example("example_5_1"))
@@ -216,37 +259,35 @@ def _ordered_walk(jordan):
     basis = [space.basis_vector(i) for i in range(space.dim)]
     for i, j in itertools.product(range(space.dim), repeat=2):
         x, y = basis[i], basis[j]
-        if any(
-            operators.bin_mul(star, x + y, t) != operators.bin_mul(star, x, t) + operators.bin_mul(star, y, t)
-            for t in basis
-        ):
+        if any(bin_mul(star, x + y, t) != bin_mul(star, x, t) + bin_mul(star, y, t) for t in basis):
             return space.names[i], space.names[j]
     return None
 
 
+def _random_table(dim, rng):
+    """A product with random nonzero rational constants in every coordinate
+    of every basis product, on a space of both parities, so it is not graded."""
+    space = SuperSpace.build((f"e{i}", i % 2) for i in range(dim))
+    constants = {
+        key: space.element({name: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for name in space.names})
+        for key in itertools.product(range(dim), repeat=2)
+    }
+    return HomSuperalgebra.untwisted(BinaryStructure(space, constants))
+
+
 def test_additivity_passes_on_the_lemma_inputs():
+    """``left_mul_additivity`` passes in its slot, after
+    ``left_mul_supercommutativity``, with d**2 pairs and no computation; the
+    element-level walk agrees on the lemma inputs and on random products
+    that are neither graded nor Jordan."""
     for jordan in _additivity_inputs():
-        report = operators._additivity(jordan)
-        assert report == CheckReport("left_mul_additivity", True, jordan.space.dim**2, None)
+        reports = verify_operator_lemmas(jordan).reports
+        assert [r.name for r in reports[:2]] == ["left_mul_supercommutativity", "left_mul_additivity"]
+        assert reports[1] == CheckReport("left_mul_additivity", True, jordan.space.dim**2)
         assert _ordered_walk(jordan) is None
-
-
-# Left factors on which a product stops being additive: a sum of two basis
-# vectors, a sum holding the last two basis vectors, twice the last one.
-_SKEWS = {
-    "two-coordinates": lambda x: len(x.coords) == 2,
-    "last-two": lambda x: x.coords.keys() >= {x.space.dim - 2, x.space.dim - 1},
-    "doubled-last": lambda x: x.coords.get(x.space.dim - 1) == 2,
-}
-
-
-@pytest.mark.parametrize("skew", _SKEWS.values(), ids=_SKEWS.keys())
-def test_additivity_reports_the_first_ordered_counterexample(skew, monkeypatch):
-    """With ``x*t`` plus ``t`` on skewed left factors, the report names the
-    pair a walk over all ordered pairs finds first."""
-    product = operators.bin_mul
-    monkeypatch.setattr(operators, "bin_mul", lambda s, x, t: product(s, x, t) + t if skew(x) else product(s, x, t))
-    for jordan in _additivity_inputs():
-        expected = _ordered_walk(jordan)
-        assert expected is not None
-        assert operators._additivity(jordan) == CheckReport("left_mul_additivity", False, jordan.space.dim**2, expected)
+    rng = random.Random(20261020)
+    for dim in (2, 3, 4):
+        jordan = _random_table(dim, rng)
+        assert not grading_check(jordan.binary).passed
+        assert not run_suite(jordan, "HOM_JORDAN").passed
+        assert _ordered_walk(jordan) is None
