@@ -12,11 +12,11 @@ sign polynomial over the variables.
 Each lemma is checked by the identity engine on all homogeneous basis
 tuples.  An operator tuple fails iff some ``t`` fails, and ``t`` is
 quantified last, so the engine's first counterexample with ``t`` dropped is
-the lexicographically first failing operator tuple.  What holds on every
-structure by construction is not checked: the additivity of left
-multiplication, which a structure-constant model has by bilinearity, and
-the asserted sign of the two lemmas stated with two candidate signs, whose
-terms cancel pairwise before any structure is bound.
+the lexicographically first failing operator tuple.  What is already
+decided is not checked again: the report slots that hold on every structure
+meeting the preconditions, each by a reason named in ``_DECIDED``, and the
+asserted sign of the two lemmas stated with two candidate signs, whose terms
+cancel pairwise before any structure is bound.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Union
 
-from .constructions import hom_jordan_triple
 from .core import Value
-from .dsl import ANGLE, STAR, Call, Expr, Identity, SignPoly, Term, Twist, Var, build_identity, variable_counts
+from .dsl import STAR, Call, Expr, Identity, SignPoly, Term, Twist, Var, build_identity, variable_counts
 from .engine import StructureBinding, check
 from .reports import CheckReport, SuiteReport
 from .structures import HomSuperalgebra, grading_check, is_multiplicative
-from .suites import run_suite
+from .suites import binding_for, run_suite, suite
 
 ARG = Var("t")
 
@@ -150,16 +149,16 @@ def triple(x: Operand, y: Operand, z: Operand) -> Combination:
 
 
 def lemma_identities(untwisted: bool = True) -> tuple[Identity, ...]:
-    """Every operator lemma as an element identity, in report order.
+    """Every checked operator lemma as an identity over ``*`` and ``A``, in report order.
 
     Operator equations quantify ``t`` last.  ``pair_operator_swap`` and
     ``difference_reduction_pairs`` are stated with two candidate signs
     each.  The sign they assert, -1 and +1 respectively, gives an identity
     whose terms cancel in pairs, so only the other candidate is built, with
-    sign +1 and -1.  ``double_bracket_reduction`` applies only at the
-    identity twist.  Each of the two tuples is built once per process and
-    shared: identities are frozen, and the engine's plan kept on each
-    depends on the identity alone.
+    sign +1 and -1.  A slot decided without a check has no identity, and
+    ``double_bracket_reduction`` applies only at the identity twist.  Each
+    of the two tuples is built once per process and shared: identities are
+    frozen, and the engine's plan kept on each depends on the identity alone.
     """
     return _lemma_identities(bool(untwisted))
 
@@ -187,9 +186,7 @@ def _lemma_identities(untwisted: bool) -> tuple[Identity, ...]:
         return L1(L1(A(outer, 2)) @ (L1(A(inner)) @ xy)) @ alpha3
 
     lemmas = [
-        ("left_mul_supercommutativity", "xy", L1(x) @ y - (L1(y) @ x).signed(koszul(x, y))),
         ("pair_operator_swap", "xyt", L2(x, y) - L2(y, x).signed(koszul(x, y))),
-        ("twist_naturality_single", "xt", alpha @ L1(x) - L1(A(x)) @ alpha),
         ("twist_naturality_pair", "xyt", alpha @ L2(x, y) - L2(A(x), A(y)) @ alpha),
         ("twist_naturality_triple", "xyzt", alpha @ L3(x, y, z) - L3(A(x), A(y), A(z)) @ alpha),
         (
@@ -260,7 +257,6 @@ def _lemma_identities(untwisted: bool) -> tuple[Identity, ...]:
             - Lxy(triple(x, y, u), A(v, 2)) @ alpha2
             + (Lxy(A(u, 2), triple(y, x, v)) @ alpha2).signed(koszul(x, y) + koszul(u, (x, y))),
         ),
-        ("pair_action_matches_triple_product", "xyz", Lxy(x, y) @ z - Call(ANGLE, (x, y, z))),
     ]
     if untwisted:
         bracket = L1(x) @ L1(y) - (L1(y) @ L1(x)).signed(koszul(x, y))
@@ -278,18 +274,20 @@ def _lemma_identities(untwisted: bool) -> tuple[Identity, ...]:
 
 
 def lemma_binding(jordan: HomSuperalgebra) -> StructureBinding:
-    """``*`` and ``A`` from the Jordan product; ``<>`` from its triple-product construction."""
-    ternary = hom_jordan_triple(jordan, checked=False).ternary
-    return StructureBinding(jordan.space, {STAR: jordan.binary, ANGLE: ternary}, jordan.twist)
+    """``*`` and ``A`` from the Jordan product, as HOM_JORDAN binds them."""
+    return binding_for(jordan, suite("HOM_JORDAN"))
 
 
 def _lemma_report(binding: StructureBinding, identity: Identity) -> CheckReport:
-    """The engine's verdict, counting and naming operator tuples for operator equations."""
+    """The engine's verdict on operator tuples; a two-sign lemma passes, its detail naming the signs that hold."""
     report = check(binding, identity)
     tuples, counterexample = report.tuples_checked, report.counterexample
     if identity.variables[-1] == ARG.name:
         tuples //= binding.space.dim
         counterexample = counterexample and counterexample[:-1]
+    if identity.name in _TWO_SIGNS:
+        text, asserted = _TWO_SIGNS[identity.name]
+        return CheckReport(identity.name, True, tuples, detail=text.format("+1/-1" if report.passed else asserted))
     return CheckReport(identity.name, report.passed, tuples, counterexample)
 
 
@@ -300,6 +298,15 @@ _TWO_SIGNS = {
     "difference_reduction_pairs": ("swapped-quadruple sign {} holds; asserting +1", "+1"),
 }
 
+# Report slots that hold whenever the preconditions do, as (place in the
+# report, name, n), each passing with the d**n tuples of its n arguments.
+_DECIDED = (
+    (0, "left_mul_supercommutativity", 2),  # HOM_JORDAN's supercommutativity, term for term
+    (1, "left_mul_additivity", 2),  # a structure-constant model is bilinear
+    (3, "twist_naturality_single", 1),  # binary multiplicativity, [] -> * and y -> t
+    (17, "pair_action_matches_triple_product", 3),  # the three terms that define <x,y,z>
+)
+
 
 def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:
     """Check every operator lemma on all homogeneous basis tuples.
@@ -309,9 +316,9 @@ def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:
     the twisted Jordan suite.  On a structure that fails them, :func:`check`
     each of :func:`lemma_identities` on :func:`lemma_binding` instead.
 
-    ``left_mul_additivity`` and the asserted signs hold on every structure,
-    so their reports always pass, with the tuple counts a check would give;
-    a two-sign lemma's detail says whether its checked candidate holds too.
+    The slots of ``_DECIDED`` and the asserted signs always pass, with the
+    tuple counts a check would give; a two-sign lemma's detail says whether
+    its checked candidate holds too.
     """
     grading = grading_check(jordan.binary)
     if not grading.passed:
@@ -325,15 +332,7 @@ def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:
         raise ValueError(f"operator lemmas need a twisted Jordan product: {failure.describe()}")
 
     binding = lemma_binding(jordan)
-    reports: list[CheckReport] = []
-    for identity in lemma_identities(jordan.twist.is_identity()):
-        report = _lemma_report(binding, identity)
-        if identity.name in _TWO_SIGNS:
-            text, asserted = _TWO_SIGNS[identity.name]
-            held = "+1/-1" if report.passed else asserted
-            report = CheckReport(identity.name, True, report.tuples_checked, detail=text.format(held))
-        reports.append(report)
-        if identity.name == "left_mul_supercommutativity":
-            # additivity is bilinearity, which every structure-constant model has
-            reports.append(CheckReport("left_mul_additivity", True, binding.space.dim**2))
+    reports = [_lemma_report(binding, identity) for identity in lemma_identities(jordan.twist.is_identity())]
+    for place, name, arguments in _DECIDED:
+        reports.insert(place, CheckReport(name, True, jordan.space.dim**arguments))
     return SuiteReport(suite="operator_lemmas", reports=tuple(reports))

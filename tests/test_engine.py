@@ -623,6 +623,46 @@ def test_products_of_one_node_share_one_node(ex51_bol):
     assert sum(isinstance(node, engine._Product) for node in set(binding._nodes.values())) == 9
 
 
+def test_chunks_hold_only_tuples_of_their_index():
+    """Every code of a chunk of a chunked check decodes to a tuple whose
+    first variable has the chunk's basis index, wherever that variable sits
+    in a term: a non-first product argument is restricted as the first is."""
+    structure = bol_from_right_alternative(bench_families().matrix_superalgebra(2, 1), checked=False)
+    spec, dim = suite("BOL"), structure.space.dim
+    binding = binding_for(structure, spec)
+    identities = [identity for identity in spec.identities if identity.arity == 5]
+    assert identities and dim**5 > engine._ONE_PASS
+    outside = 0
+    for identity in identities:
+        _, terms = engine._compile(binding, identity)
+        for index in range(dim):
+            outside += sum(engine._decode(code, dim, 5)[0] != index for code in engine._chunk(terms, index))
+    assert outside == 0
+
+
+def test_kept_tables_hold_no_zeros():
+    """After suites of two to five variables run, no node table their
+    bindings keep holds an empty vector or a zero coordinate."""
+    families = bench_families()
+    m21 = families.matrix_superalgebra(2, 1)
+    runs = (
+        (m21, "RIGHT_ALT"),
+        (m21, "EQ_3_2"),
+        (m21, "LEMMA_2_4"),
+        (plus_algebra(m21), "JORDAN"),
+        (bol_from_right_alternative(m21, checked=False), "BOL"),
+        (plus_algebra(builtin_example("example_5_1")), "HOM_JORDAN"),
+    )
+    zeros = 0
+    for structure, name in runs:
+        spec = suite(name)
+        binding = binding_for(structure, spec)
+        assert all(check(binding, identity).passed for identity in spec.identities), name
+        for node in set(binding._nodes.values()):
+            zeros += sum(not vector or 0 in vector.values() for vector in (node._table or {}).values())
+    assert zeros == 0
+
+
 def test_associator_reads_its_sides_from_kept_tables():
     """An associator whose two sides an earlier identity kept as sub-term
     tables walks them at opposite signs, as a fresh binding fuses them."""

@@ -101,7 +101,7 @@ def _command(tmp_path, *argv) -> dict:
         (("check", "hombol23.json", "--suite", "HOM_BOL"), 1, {"constructions", "operators", "catalog"}),
         (("check", "malformed.json", "--suite", "BOL"), 2, {"engine", "constructions", "operators", "catalog"}),
         (("construct", "hom_bol", "ex51.json", "-o", "hb.json"), 0, {"operators", "catalog"}),
-        (("lemmas", "plus.json"), 0, {"catalog"}),
+        (("lemmas", "plus.json"), 0, {"constructions", "catalog"}),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
@@ -112,6 +112,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
     assert found["code"] == code, found["stderr"]
     assert absent.isdisjoint(found["loaded"]), found["loaded"]
     assert found["generators"] == []
+
+
+def test_operators_load_no_construction():
+    """The operator lemmas bind only ``*`` and the twist, so importing them
+    loads no construction."""
+    loaded = run_fresh("import json, sys\nimport superbol.operators\nprint(json.dumps(sorted(sys.modules)))")
+    assert "superbol.operators" in loaded and "superbol.constructions" not in loaded
 
 
 def test_library_errors_keep_their_exit_codes_in_a_fresh_interpreter(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -9,12 +11,13 @@ from conftest import bench_families, oracle_agreement
 from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.core import SuperSpace
-from superbol.constructions import hom_jordan_triple, plus_algebra, yau_twist_algebra
-from superbol.dsl import SignPoly, Var, build_identity
-from superbol import operators
+from superbol.constructions import _HOM_JORDAN_TRIPLE, hom_jordan_triple, plus_algebra, yau_twist_algebra
+from superbol.dsl import Call, SignPoly, Term, Twist, Var, build_identity
+from superbol import constructions, engine, operators
 from superbol.engine import check, evaluate_on_elements
 from superbol.reports import CheckReport
 from superbol.operators import (
+    ARG,
     A,
     L1,
     L2,
@@ -26,8 +29,16 @@ from superbol.operators import (
     mul,
     verify_operator_lemmas,
 )
-from superbol.structures import BinaryStructure, Convention, HomSuperalgebra, bin_mul, grading_check, tern_mul
-from superbol.suites import run_suite
+from superbol.structures import (
+    BINARY_MULTIPLICATIVITY,
+    BinaryStructure,
+    Convention,
+    HomSuperalgebra,
+    bin_mul,
+    grading_check,
+    tern_mul,
+)
+from superbol.suites import binding_for, run_suite, suite
 
 x, y, z = (Var(name) for name in "xyz")
 
@@ -138,6 +149,73 @@ def test_operator_lemmas_precondition(ex51):
         verify_operator_lemmas(ex51)
 
 
+def _pinned_inputs():
+    """The structures whose operator-lemma reports are pinned, by name."""
+    families = bench_families()
+    ex51 = builtin_example("example_5_1")
+    m21 = families.matrix_superalgebra(2, 1)
+    beta = families.diagonal_automorphism(2, 1, families.diagonal_entries(2, 1, random.Random(37)))
+    return {
+        "plus(example_5_1)": lambda: plus_algebra(ex51),
+        "plus(example_5_1 twisted by beta(2,0), n=1)": lambda: plus_algebra(
+            yau_twist_algebra(ex51, example_5_1_beta(2, 0), 1)
+        ),
+        "plus(example_5_1 twisted by beta(3,0), n=2)": lambda: plus_algebra(
+            yau_twist_algebra(ex51, example_5_1_beta(3, 0), 2)
+        ),
+        "plus(Lambda(1))": lambda: plus_algebra(families.grassmann(1)),
+        "plus(Lambda(2))": lambda: plus_algebra(families.grassmann(2)),
+        "plus(M(1|1))": lambda: plus_algebra(families.matrix_superalgebra(1, 1)),
+        "plus(M(2|1))": lambda: plus_algebra(m21),
+        "zero on SPACE_1_2": lambda: HomSuperalgebra.untwisted(BinaryStructure.zero(SPACE_1_2)),
+        "plus(M(2|1) twisted by a seeded diagonal beta)": lambda: plus_algebra(yau_twist_algebra(m21, beta)),
+    }
+
+
+# SHA-256 of ``verify_operator_lemmas(S).describe()``, recorded from a version
+# that checked every report slot on its own identity, so each slot decided
+# without a check must reproduce its checked report byte for byte.
+PINNED_REPORTS = {
+    "plus(example_5_1)": "70d5c84d453ad373370b7782df9f0eefb85417aafd99c0afd1216124f0eb4928",
+    "plus(example_5_1 twisted by beta(2,0), n=1)": "a8fa933e47650b6b5f39fb729037fb27d358d443d3dc6349a07aa330de564a13",
+    "plus(example_5_1 twisted by beta(3,0), n=2)": "a8fa933e47650b6b5f39fb729037fb27d358d443d3dc6349a07aa330de564a13",
+    "plus(Lambda(1))": "83937f5a620c2c8fcffdf71e5ca546f57a54def249101f60ef05e18773512a2a",
+    "plus(Lambda(2))": "0a7304751f68ea9e378e5f90882d446c5cf66cce66a2d4c396bd90d46b4c0085",
+    "plus(M(1|1))": "f8b881f218aed5a340b3c13253370c3825778c0b7cae5ef7af9754a508811a44",
+    "plus(M(2|1))": "5a33582d1efd0145fedd6e14cae357471a2dc0827fa0c4d1695ed64386d0f111",
+    "zero on SPACE_1_2": "ed52834090c4daf5b34892215019a44f913cb8e6bb466334b963cff5efce1d83",
+    "plus(M(2|1) twisted by a seeded diagonal beta)": "3229592316e211a1b6d31c19d58bf48f5acc47f1f8d02c5178e1c616d3d8c668",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_reports_are_pinned(name):
+    text = verify_operator_lemmas(_pinned_inputs()[name]()).describe()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name], text
+
+
+def test_lemmas_tabulate_nothing_and_build_no_construction(plus51, monkeypatch):
+    """With ``engine.tabulate`` and every function of ``constructions``
+    replaced by ones that raise, the lemmas still give the same reports."""
+    twisted = plus_algebra(yau_twist_algebra(builtin_example("example_5_1"), example_5_1_beta(2, 0)))
+    expected = [verify_operator_lemmas(jordan) for jordan in (plus51, twisted)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the operator lemmas called a construction or tabulated a product")
+
+    monkeypatch.setattr(engine, "tabulate", refuse)
+    for name, value in vars(constructions).items():
+        if inspect.isfunction(value) and value.__module__ == constructions.__name__:
+            monkeypatch.setattr(constructions, name, refuse)
+    assert [verify_operator_lemmas(jordan) for jordan in (plus51, twisted)] == expected
+
+
+def test_lemma_binding_binds_what_hom_jordan_binds(plus51):
+    binding = lemma_binding(plus51)
+    assert binding == binding_for(plus51, suite("HOM_JORDAN"))
+    assert set(binding.ops) == {"*"}
+
+
 def perturbed_jordan(plus51):
     constants = dict(plus51.binary.constants)
     constants[(0, 0)] = SPACE_1_2.basis_vector("i")  # i*i = i keeps symmetry, breaks the rest
@@ -228,18 +306,66 @@ def _two_sign_candidates():
     }
 
 
+def _symbols(expr, found):
+    """Add every operation symbol in ``expr`` to ``found``."""
+    if isinstance(expr, Twist):
+        _symbols(expr.arg, found)
+    elif isinstance(expr, Call):
+        found.add(expr.op)
+        for arg in expr.args:
+            _symbols(arg, found)
+    return found
+
+
 @pytest.mark.parametrize("untwisted", [True, False])
 def test_asserted_signs_cancel_term_by_term(untwisted):
     """The asserted candidate of each two-sign lemma sums to zero before any
     structure is bound, so it holds on every structure; the built lemma is
-    the other candidate, and no lemma in the tuple cancels."""
+    the other candidate, no lemma in the tuple cancels, and every lemma is
+    over ``*`` and ``A`` alone."""
     identities = {identity.name: identity for identity in lemma_identities(untwisted)}
-    assert len(identities) == len(lemma_identities(untwisted)) == (18 if untwisted else 17)
+    assert len(identities) == len(lemma_identities(untwisted)) == (15 if untwisted else 14)
     for name, (kept, dropped) in _two_sign_candidates().items():
         assert _formal_sum(dropped.terms) == {}, name
         assert identities[name].terms == kept.terms
     for identity in identities.values():
         assert _formal_sum(identity.terms), identity.name
+        assert set().union(*(_symbols(term.expr, set()) for term in identity.terms)) == {"*"}, identity.name
+
+
+def _renamed(expr, symbols, names):
+    """``expr`` with operation symbols and variables renamed by the two maps."""
+    if isinstance(expr, Var):
+        return Var(names.get(expr.name, expr.name))
+    if isinstance(expr, Twist):
+        return Twist(expr.power, _renamed(expr.arg, symbols, names))
+    return Call(symbols.get(expr.op, expr.op), tuple(_renamed(arg, symbols, names) for arg in expr.args))
+
+
+def _term_multiset(terms):
+    return Counter((term.coefficient, term.sign, term.expr) for term in terms)
+
+
+def test_decided_slots_rest_on_formal_facts():
+    """Three slots reported without a check are, term for term, a fact the
+    preconditions or the triple product's definition already decide:
+    ``left_mul_supercommutativity`` is HOM_JORDAN's ``supercommutativity``,
+    ``twist_naturality_single`` is binary multiplicativity with ``[]`` read
+    as ``*`` and ``y`` as ``t``, and the pair action ``Lxy(x,y)(z)`` is the
+    three terms that define the twisted Jordan triple product."""
+    supercommutativity = next(i for i in suite("HOM_JORDAN").identities if i.name == "supercommutativity")
+    built = L1(x) @ y - (L1(y) @ x).signed(koszul(x, y))
+    assert _term_multiset(built.terms) == _term_multiset(supercommutativity.terms)
+
+    multiplicativity = [
+        Term(term.coefficient, term.sign, _renamed(term.expr, {"[]": "*"}, {"y": "t"}))
+        for term in BINARY_MULTIPLICATIVITY.terms
+    ]
+    built = A(ARG) @ L1(x) - L1(A(x)) @ A(ARG)
+    assert _term_multiset(built.terms) == _term_multiset(multiplicativity)
+
+    assert _term_multiset((Lxy(x, y) @ z).terms) == _term_multiset(_HOM_JORDAN_TRIPLE.terms)
+    assert len(_HOM_JORDAN_TRIPLE.terms) == 3
 
 
 def _additivity_inputs():
