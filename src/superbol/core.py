@@ -265,11 +265,13 @@ class EvenMap(Value):
     shape, and builds ``columns``, the sparse view that map arithmetic reads:
     the nonzero entries of each source column as ``{target: entry}``, never
     mutated.  Parity is checked on those nonzero entries only; a bad shape or
-    an entry crossing parities raises ``ValueError``.
+    an entry crossing parities raises ``ValueError``.  The hash is kept in a
+    slot outside ``_fields`` once computed, so a map used as a cache key is
+    hashed once.
     """
 
     _fields = ("space", "matrix")
-    __slots__ = (*_fields, "columns")
+    __slots__ = (*_fields, "columns", "_hash")
 
     def __init__(self, space: SuperSpace, matrix: tuple[tuple[Fraction, ...], ...] = ()):
         n, parities = space.dim, space.parities
@@ -286,6 +288,19 @@ class EvenMap(Value):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        """The hash of ``(space, matrix)``, computed on first use and kept."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", Value.__hash__(self))
+        return self._hash
+
+    def __setstate__(self, state) -> None:
+        """Restore the saved slots but not the kept hash: string hashes
+        differ between interpreters."""
+        super().__setstate__(state)
+        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def identity(space: SuperSpace) -> "EvenMap":

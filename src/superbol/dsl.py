@@ -153,19 +153,24 @@ class Identity(Value):
     """A parsed multilinear identity, asserted to equal zero.
 
     ``plan`` is the engine's compile plan of the identity, derived from the
-    identity alone and kept on it at its first check; it takes no part in
-    equality, hashing or ``repr``, and is not a constructor argument, so
-    every new identity, a copy with other terms included, starts without one.
+    identity alone and kept on it at its first check, and ``symmetries``
+    the engine's orbit pairs of the identity by the slot symmetries they
+    were found under (see :func:`normal.symmetric_pairs`), kept as they are
+    found.
+    Neither takes part in equality, hashing or ``repr``, and neither is a
+    constructor argument, so every new identity, a copy with other terms
+    included, starts without them.
     """
 
     _fields = ("name", "variables", "terms")
-    __slots__ = (*_fields, "plan")
+    __slots__ = (*_fields, "plan", "symmetries")
 
     def __init__(self, name: str, variables: tuple[str, ...], terms: tuple[Term, ...]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "plan", None)
+        object.__setattr__(self, "symmetries", {})
 
     @property
     def arity(self) -> int:
@@ -193,6 +198,29 @@ def _untwisted(expr: Expr) -> Expr:
     if isinstance(expr, Twist):
         return _untwisted(expr.arg)
     return expr if isinstance(expr, Var) else Call(expr.op, tuple(map(_untwisted, expr.args)))
+
+
+def slot_symmetry(identity: Identity) -> Optional[tuple[str, int, int, int, frozenset]]:
+    """``(op, i, j, c, q)`` if ``identity`` is ``P(args) + e P(args')`` over
+    bare variables, ``args'`` being ``args`` with slots ``i < j`` swapped and
+    ``e`` a sign polynomial times +-1; None otherwise.  Where it holds, a
+    swap of slots i and j multiplies ``P`` by ``c * (-1)**q``, q a sign
+    polynomial over slot numbers read at the arguments' parities before the
+    swap: the slot symmetry ``facts[op, i, j] = (c, q)`` of :mod:`normal`."""
+    if len(identity.terms) != 2:
+        return None
+    first, second = identity.terms
+    a, b = first.expr, second.expr
+    if not (isinstance(a, Call) and isinstance(b, Call) and a.op == b.op
+            and all(isinstance(arg, Var) for arg in a.args + b.args)):
+        return None
+    moved = [k for k, (x, y) in enumerate(zip(a.args, b.args)) if x != y]
+    ratio = first.coefficient / second.coefficient
+    if len(moved) != 2 or abs(ratio) != 1:
+        return None
+    slot = {arg.name: k for k, arg in enumerate(a.args)}
+    q = frozenset(frozenset(slot[name] for name in mono) for mono in (first.sign + second.sign).monomials)
+    return a.op, moved[0], moved[1], -int(ratio), q
 
 
 def variable_counts(expr: Expr, counts: dict[str, int]) -> None:

@@ -9,8 +9,7 @@ reproducible.  The reported tuple count is always d**n.
 depends on the identity alone is compiled once per :class:`Identity`, on
 its first check, and kept on it as its ``plan``: per term, the shape of its
 expression, where its key positions land in the identity's variable order,
-the key position of the identity's first variable, its coefficient and its
-table of signs.  A shape is a variable or a product up to renaming of its
+its coefficient and its table of signs.  A shape is a variable or a product up to renaming of its
 variables, under the summed power of the twists around it.  Shapes are
 interned for the whole process, so equal ones, in any identities, are one
 object, hashed by identity.  What depends on the structure is compiled once
@@ -45,6 +44,20 @@ its failing codes, with the same first one.  A tuple outside the support of
 every term has residue zero, so visiting only the supports decides every one
 of the d**n tuples and the count stays exact.
 
+A passing check of the form of :func:`dsl.slot_symmetry` records its slot
+symmetry as a fact on the binding, if every bound product is graded.  A
+later check of more than ``_ORBITS`` tuples reads, by
+:func:`normal.orbit_pairs`, disjoint pairs of variables whose swap maps the
+identity to plus or minus itself modulo those facts, and visits only the
+tuples sorted on each pair, one per orbit.  An orbit's lexicographically least
+tuple is its sorted one, so the verdict, the first counterexample and its
+residue are unchanged, and the count stays ``d**n``.  The restriction is
+one set of bounds, ``(limits, pairs, memo)``, that every accumulation reads
+(None for none): a chunk fixes its variable's index and bounds its
+partner's below, a pair inside a kept argument table filters its rows, and
+a pair split between the first argument of a term's top product and a later
+one bounds the later one per branch.  No chunk is added.
+
 Arithmetic is integer.  Tensors and twist columns are stored as integers
 times the lcm of their denominators; a node's values are its true values
 times its scale, the product of its factors' scales; each identity gets one
@@ -71,9 +84,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Element, EvenMap, SuperSpace, Value, apply_map, power
-from .dsl import ANGLE, BRACES, BRACKET, JORDAN, STAR, Expr, Identity, SignPoly, Twist, Var
+from .dsl import ANGLE, BRACES, BRACKET, JORDAN, STAR, Expr, Identity, SignPoly, Twist, Var, slot_symmetry
 from .reports import CheckReport
-from .structures import BinaryStructure, ProductTensor, TernaryStructure, bin_mul, tern_mul
+from .structures import BinaryStructure, ProductTensor, TernaryStructure, bin_mul, grading_check, tern_mul
 
 
 class UnboundSymbolError(KeyError):
@@ -99,15 +112,18 @@ class StructureBinding(Value):
     alone is compiled once per identity and kept on it, never here.  The
     common scale, the weights, the integer codes a check keys its residue
     by, and the coded copies of the tables it reads, last only for that
-    check.  The three tables, ``_tensors`` by symbol and power, ``_columns``
-    by twist power and ``_nodes`` by shape and by node key, are the slots
+    check.  ``_facts`` holds the slot symmetries checks on this binding have
+    verified, ``(symbol, i, j) -> (c, q)`` as :mod:`normal` reads them; a
+    later check restricts its tuples by them.  The three tables,
+    ``_tensors`` by symbol and power, ``_columns`` by twist power and
+    ``_nodes`` by shape and by node key, and ``_facts`` are the slots
     outside ``_fields``: they take no part in equality or ``repr``, and a
-    new binding starts with them empty, so it never sees values of an old
-    one.
+    new binding starts with them empty, so it never sees values or facts of
+    an old one.
     """
 
     _fields = ("space", "ops", "twist")
-    __slots__ = (*_fields, "_tensors", "_columns", "_nodes")
+    __slots__ = (*_fields, "_tensors", "_columns", "_nodes", "_facts")
 
     def __init__(self, space: SuperSpace, ops: Mapping[str, ProductTensor], twist: EvenMap):
         for symbol, structure in ops.items():
@@ -124,6 +140,7 @@ class StructureBinding(Value):
         object.__setattr__(self, "_tensors", {})
         object.__setattr__(self, "_columns", {})
         object.__setattr__(self, "_nodes", {})
+        object.__setattr__(self, "_facts", {})
 
     def op(self, symbol: str) -> ProductTensor:
         try:
@@ -266,9 +283,10 @@ def _branches(index: dict) -> list:
     return [(i, _branches(sub) if isinstance(sub, dict) else sub) for i, sub in index.items()]
 
 
-def _components(rows: Iterable[tuple[int, dict[int, int]]]) -> dict[int, list[tuple[int, int]]]:
-    """``(code, vector)`` rows indexed by component: basis index -> [(code, coefficient)]."""
-    index: dict[int, list[tuple[int, int]]] = {}
+def _components(rows: Iterable[tuple[int, dict[int, int]]], index: Optional[dict] = None) -> dict[int, list[tuple[int, int]]]:
+    """``(code, vector)`` rows indexed by component: basis index -> [(code,
+    coefficient)], added to ``index`` if it is given."""
+    index = {} if index is None else index
     for code, vector in rows:
         for target, c in vector.items():
             index.setdefault(target, []).append((code, c))
@@ -284,7 +302,7 @@ class _Coding:
     positions' codes, so a join adds the codes of its arguments' rows.
     ``code & mask`` is the tuple's parity pattern, which indexes ``weights``;
     ``code >> n`` is the tuple's index in identity order, packed in base
-    ``dim``, so codes sort as their tuples do and :func:`_decode` gives the
+    ``dim``, so codes sort as their tuples do, and :func:`_decode` gives the
     tuple back.
     """
 
@@ -295,22 +313,47 @@ class _Coding:
         self.codes = [columns[v] for v in self.positions]
         self.weights, self.mask, self._memo = weights, len(weights) - 1, memo
 
-    def coded(self, node: _Node, offset: int, fix: Optional[tuple[int, int]], form=dict):
+    def coded(self, node: _Node, offset: int, bounds: Optional[tuple], form=dict):
         """The kept rows of ``node``, whose key starts at position ``offset``
-        of the term's key, as ``(code, vector)`` pairs gathered by ``form``
-        (``dict`` or :func:`_components`); only the rows at ``fix`` if it is
-        given.  Whole tables are coded once per check, in a ``memo`` the
-        terms share, keyed by node and the identity positions its key lands
-        on; a restriction is coded afresh, since each chunk of a chunked
-        check reads its own, and a check in one chunk restricts nothing."""
-        key = None if fix is not None else (form, node, self.positions[offset:offset + node.width])
-        coded = self._memo.get(key)
+        of the term's key, that lie within ``bounds``, as ``(code, vector)``
+        pairs gathered by ``form`` (``dict`` or :func:`_components`).
+
+        ``bounds`` is None for every row, or ``(limits, pairs, memo)``: a
+        row is kept if its index at each identity position of ``limits``
+        lies in that position's inclusive range, and at ``p`` is at most its
+        index at ``q`` for each pair ``(p, q)`` of ``pairs`` that falls
+        inside the node.  The coded rows are kept by node and the identity
+        positions its key lands on: once per check, in the memo the terms
+        share, if no limit falls on them, else once per chunk, in ``memo``,
+        since each chunk of a chunked check reads its own."""
+        positions = self.positions[offset:offset + node.width]
+        key = (form, node, positions)
+        limited = bounds is not None and not bounds[0].keys().isdisjoint(positions)
+        memo = bounds[2] if limited else self._memo
+        coded = memo.get(key)
         if coded is None:
-            codes, rows = self.codes[offset:offset + node.width], node.table() if fix is None else node.at(*fix)
-            coded = form((sum(map(list.__getitem__, codes, k)), vector) for k, vector in rows.items())
-            if key is not None:
-                self._memo[key] = coded
+            rows = node.table().items() if bounds is None else _within(node, positions, bounds)
+            codes = self.codes[offset:offset + node.width]
+            coded = memo[key] = form((sum(map(list.__getitem__, codes, k)), vector) for k, vector in rows)
         return coded
+
+
+def _within(node: _Node, positions: tuple[int, ...], bounds: tuple) -> list:
+    """The rows of ``node``'s kept table, its key landing on the identity
+    ``positions``, that lie within ``bounds``, a fixed index read from its
+    slice by :meth:`_Node.at`."""
+    limits, pairs, _ = bounds
+    ranges = [(k, *limits[v]) for k, v in enumerate(positions) if v in limits]
+    fixed = next(((k, low) for k, low, high in ranges if low == high), None)
+    rows = list((node.table() if fixed is None else node.at(*fixed)).items())
+    for k, low, high in ranges:
+        if (k, low) != fixed:
+            rows = [(key, vector) for key, vector in rows if low <= key[k] <= high]
+    for p, q in pairs:
+        if p in positions and q in positions:
+            p, q = positions.index(p), positions.index(q)
+            rows = [(key, vector) for key, vector in rows if key[p] <= key[q]]
+    return rows
 
 
 class _Node:
@@ -318,16 +361,16 @@ class _Node:
     ``width`` variables in traversal order.
 
     There are two kinds, :class:`_Leaf` and :class:`_Product`, and any
-    twist is already folded into their tables.  ``accumulate(fix, sink,
-    coding)`` adds the node's values at the keys with basis index ``fix[1]``
-    at position ``fix[0]`` (all keys if ``fix`` is None) into ``sink``, each
-    under its code in ``coding`` and weighted by ``coding.weights[code &
-    coding.mask]``.  A node whose table is kept, as a leaf's always is,
-    walks it; a product without one joins its arguments' coded tables
-    straight into the sink.  So a term's top node is never materialized.
-    ``table()`` builds the kept table with that same join, at unit weight
-    under codes of the node's own key order over the space's ``parities``,
-    decodes each code back to its tuple once, and keeps it.
+    twist is already folded into their tables.  ``accumulate(bounds, sink,
+    coding)`` adds the node's values at the keys within ``bounds`` (see
+    :meth:`_Coding.coded`) into ``sink``, each under its code in ``coding``
+    and weighted by ``coding.weights[code & coding.mask]``.  A node whose
+    table is kept, as a leaf's always is, walks it; a product without one
+    joins its arguments' coded tables straight into the sink.  So a term's
+    top node is never materialized.  ``table()`` builds the kept table with
+    that same join, at unit weight under codes of the node's own key order
+    over the space's ``parities``, decodes each code back to its tuple once,
+    and keeps it.
     """
 
     __slots__ = ("scale", "width", "parities", "_table", "_slices")
@@ -364,11 +407,11 @@ class _Node:
                 out[_decode(code, dim, width)] = vector
         return out
 
-    def accumulate(self, fix, sink: dict, coding: _Coding) -> None:
+    def accumulate(self, bounds: Optional[tuple], sink: dict, coding: _Coding) -> None:
         if self._table is None:
-            return self._accumulate(fix, sink, coding)
+            return self._accumulate(bounds, sink, coding)
         weights, mask = coding.weights, coding.mask
-        for code, vector in coding.coded(self, 0, fix).items():
+        for code, vector in coding.coded(self, 0, bounds).items():
             w = weights[code & mask]
             acc = sink.get(code)
             if acc is None:
@@ -396,7 +439,12 @@ class _Product(_Node):
     ``i`` they hold opens one branch ``(code, coefficient, support[i])``;
     each middle argument extends every branch through its component index,
     one step down the support; the last argument meets the rows at the
-    leaves."""
+    leaves.  A pair of ``bounds`` split between the first argument and a
+    later one bounds the later one per branch, by :meth:`_widening`: the
+    first argument's rows come in the order in which that bound only
+    widens, and the later argument's index grows by the rows it admits, so
+    each argument is still coded once.
+    """
 
     __slots__ = ("support", "args")
 
@@ -406,23 +454,55 @@ class _Product(_Node):
         )
         self.support, self.args = support, tuple(args)
 
-    def _arguments(self, fix, coding: _Coding) -> list:
-        """The first argument's coded rows and the coded component indexes of
-        the others; the argument holding position ``fix[0]`` is restricted to
-        ``fix[1]``."""
-        coded, offset = [], 0
-        for arg in self.args:
-            local = None
-            if fix is not None and offset <= fix[0] < offset + arg.width:
-                local = (fix[0] - offset, fix[1])
-            coded.append(coding.coded(arg, offset, local, _components if coded else dict))
+    def _arguments(self, bounds, coding: _Coding) -> tuple:
+        """The first argument's coded rows, the later arguments' coded
+        component indexes, within ``bounds``, and the pair of ``bounds``
+        split between the first argument and a later one, if any, as
+        ``(lead, member)`` with the lead in the first argument; the member's
+        argument then has an empty index, to be grown by
+        :meth:`_widening`, and is returned as ``(node, offset, index)``."""
+        args, positions, split, held = self.args, coding.positions, None, None
+        if bounds and bounds[1]:
+            head = positions[:args[0].width]
+            split = next(((p, q) if p in head else (q, p) for p, q in bounds[1] if (p in head) != (q in head)), None)
+        others, offset = [], args[0].width
+        for arg in args[1:]:
+            if split and split[1] in positions[offset:offset + arg.width]:
+                held = arg, offset, {}
+                others.append(held[2])
+            else:
+                others.append(coding.coded(arg, offset, bounds, _components))
             offset += arg.width
-        return coded
+        return coding.coded(args[0], 0, bounds), others, split, held
 
-    def _accumulate(self, fix, sink, coding):
-        firsts, *middles, lasts = self._arguments(fix, coding)
+    def _widening(self, bounds, coding: _Coding, firsts: dict, split: tuple, held: tuple):
+        """The first argument's rows in the order in which the bound that
+        the lead's index sets on the member only widens: the member at
+        least the lead's index if it comes later in the identity's order,
+        else at most.  Before each row, the member's argument's index grows
+        by the rows its bound newly admits."""
+        (lead, member), (node, offset, grown) = split, held
+        dim, n = len(self.parities), coding.mask.bit_length()
+        lead_unit, member_unit = (dim ** (n - 1 - v) << n for v in split)
+        buckets: dict[int, list] = {}
+        for code, vector in coding.coded(node, offset, bounds).items():
+            buckets.setdefault(code // member_unit % dim, []).append((code, vector))
+        lower = lead < member
+        edge = dim if lower else -1
+        for code, vector in sorted(firsts.items(), key=lambda row: row[0] // lead_unit % dim, reverse=lower):
+            index = code // lead_unit % dim
+            if index != edge:
+                admitted = range(index, edge) if lower else range(edge + 1, index + 1)
+                _components(itertools.chain.from_iterable(buckets.get(i, ()) for i in admitted), grown)
+                edge = index
+            if grown:
+                yield code, vector
+
+    def _accumulate(self, bounds, sink, coding):
         support, weights, mask = self.support, coding.weights, coding.mask
-        for ka, a in firsts.items():
+        firsts, (*middles, lasts), split, held = self._arguments(bounds, coding)
+        rows = firsts.items() if split is None else self._widening(bounds, coding, firsts, split, held)
+        for ka, a in rows:
             for i, ca in a.items():
                 index = support.get(i)
                 if index is None:
@@ -501,14 +581,12 @@ def _plan(identity: Identity) -> tuple[tuple, ...]:
     """The identity's structure-free compile work, done on its first check
     and kept as ``identity.plan``: per term, the :func:`_shape` of its
     expression, the position in the identity's variable order of each of
-    its key positions, the key position of the identity's first variable,
-    its coefficient, and its table of :func:`_signs`, one table per
-    distinct sign.  It holds nothing of a binding, so every binding reads
-    the same plan."""
+    its key positions, its coefficient, and its table of :func:`_signs`,
+    one table per distinct sign.  It holds nothing of a binding, so every
+    binding reads the same plan."""
     plan = identity.plan
     if plan is None:
-        variables = identity.variables
-        place = {name: v for v, name in enumerate(variables)}
+        place = {name: v for v, name in enumerate(identity.variables)}
         signs: dict[SignPoly, tuple[int, ...]] = {}
         steps = []
         for term in identity.terms:
@@ -516,28 +594,27 @@ def _plan(identity: Identity) -> tuple[tuple, ...]:
             shape = _shape(term.expr, order)
             if term.sign not in signs:
                 signs[term.sign] = tuple(_signs(term.sign, place))
-            positions = tuple(place[name] for name in order)
-            steps.append((shape, positions, order.index(variables[0]), term.coefficient, signs[term.sign]))
+            steps.append((shape, tuple(place[name] for name in order), term.coefficient, signs[term.sign]))
         plan = tuple(steps)
         object.__setattr__(identity, "plan", plan)
     return plan
 
 
 def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[tuple]]:
-    """The identity's common scale S and, per term, its node, the key position
-    of the identity's first variable, and its :class:`_Coding`.
+    """The identity's common scale S and, per term, its node and its
+    :class:`_Coding`.
 
     A term's weight is ``coefficient * S / node.scale``, an integer because S
     is the lcm of every ``node.scale * coefficient.denominator``; its weight
     at a parity mask is that times its sign there, read from the plan."""
     plan = _plan(identity)
     nodes = [binding._node(shape) for shape, *_ in plan]
-    scale = math.lcm(*(node.scale * coefficient.denominator for node, (_, _, _, coefficient, _) in zip(nodes, plan)))
+    scale = math.lcm(*(node.scale * coefficient.denominator for node, (_, _, coefficient, _) in zip(nodes, plan)))
     columns, memo = _columns(binding.space.parities, identity.arity), {}
     terms = []
-    for node, (_, positions, first, coefficient, signs) in zip(nodes, plan):
+    for node, (_, positions, coefficient, signs) in zip(nodes, plan):
         weight = coefficient.numerator * (scale // (node.scale * coefficient.denominator))
-        terms.append((node, first, _Coding(columns, positions, [weight * s for s in signs], memo)))
+        terms.append((node, _Coding(columns, positions, [weight * s for s in signs], memo)))
     return scale, terms
 
 
@@ -546,13 +623,33 @@ def _compile(binding: StructureBinding, identity: Identity) -> tuple[int, list[t
 _ONE_PASS = 9**4
 
 
-def _chunk(terms: list[tuple], index: Optional[int]) -> dict[int, dict[int, int]]:
-    """The scaled residues of every tuple whose first variable is basis vector
-    ``index`` (of every tuple if ``index`` is None) and at which some term
-    has a product, keyed by code; they may hold zero entries."""
+# The most tuples a check visits without restricting them to orbits: below
+# it, bounding the join costs more than it saves.
+_ORBITS = 9**3
+
+
+def _chunks(pairs: tuple, dim: int, arity: int):
+    """The bounds of each chunk of a check whose tuples are bounded by
+    ``pairs``: one chunk of all of them if there are at most ``_ONE_PASS``,
+    else one per basis index of the first variable, which fixes that index
+    and bounds the first variable's partner in ``pairs`` below by it."""
+    if dim**arity <= _ONE_PASS:
+        yield ({}, pairs, {}) if pairs else None
+        return
+    partner, rest = dict(pairs).get(0), tuple(pair for pair in pairs if pair[0])
+    for index in range(dim):
+        limits = {0: (index, index)}
+        if partner is not None:
+            limits[partner] = (index, dim - 1)
+        yield limits, rest, {}
+
+
+def _chunk(terms: list[tuple], bounds: tuple) -> dict[int, dict[int, int]]:
+    """The scaled residues of every tuple within ``bounds`` at which some
+    term has a product, keyed by code; they may hold zero entries."""
     residue: dict[int, dict[int, int]] = {}
-    for node, position, coding in terms:
-        node.accumulate(None if index is None else (position, index), residue, coding)
+    for node, coding in terms:
+        node.accumulate(bounds, residue, coding)
     return residue
 
 
@@ -560,17 +657,17 @@ def _element(space: SuperSpace, vector: Mapping[int, int], scale: int) -> Elemen
     return Element(space, {target: Fraction(c, scale) for target, c in vector.items() if c})
 
 
-def _nonzero(binding: StructureBinding, identity: Identity):
-    """Every tuple with a nonzero residue and that residue as an Element,
-    keyed by basis-index tuple in the order of ``identity.variables``, in
-    lexicographic order, one chunk at a time: one chunk of all the tuples if
-    there are at most ``_ONE_PASS``, else one per basis index of the first
-    variable.  A chunk with no nonzero entry is passed over by one test;
-    only a failing chunk sorts its codes."""
+def _nonzero(binding: StructureBinding, identity: Identity, pairs: tuple = ()):
+    """Every tuple with ``t[p] <= t[q]`` for each pair ``(p, q)`` of
+    ``pairs`` and a nonzero residue, with that residue as an Element, keyed
+    by basis-index tuple in the order of ``identity.variables``, in
+    lexicographic order, one chunk of :func:`_chunks` at a time.  A chunk
+    with no nonzero entry is passed over by one test; only a failing chunk
+    sorts its codes."""
     space, arity = binding.space, identity.arity
     scale, terms = _compile(binding, identity)
-    for index in [None] if space.dim**arity <= _ONE_PASS else range(space.dim):
-        residue = _chunk(terms, index)
+    for bounds in _chunks(pairs, space.dim, arity):
+        residue = _chunk(terms, bounds)
         if not any(map(any, map(dict.values, residue.values()))):
             continue
         for code in sorted([code for code, vector in residue.items() if any(vector.values())]):
@@ -586,10 +683,23 @@ def check(binding: StructureBinding, identity: Identity) -> CheckReport:
     lexicographically first failing tuple in basis order: the first tuple
     :func:`_nonzero` yields, after which no later chunk is built.  Checks on
     one binding share its compiled tensors and sub-term tables.
+
+    Once a check of the form of :func:`dsl.slot_symmetry` has passed on a
+    graded binding, its slot symmetry is one of the binding's ``_facts``.
+    A later check then visits only the tuples sorted on each pair of
+    :func:`normal.orbit_pairs`: swapping a pair's tuple entries maps the residue
+    to plus or minus itself, so an unsorted tuple fails iff its sorted swap
+    does, which comes before it.  Verdict, counterexample, residue and the
+    ``d**n`` count are those of a visit of every tuple.
     """
-    space = binding.space
+    space, facts = binding.space, binding._facts
     total = space.dim ** identity.arity
-    for indices, residue in _nonzero(binding, identity):
+    pairs = ()
+    if total > _ORBITS:
+        from .normal import orbit_pairs
+
+        pairs = orbit_pairs(identity, facts)
+    for indices, residue in _nonzero(binding, identity, pairs):
         return CheckReport(
             name=identity.name,
             passed=False,
@@ -597,6 +707,9 @@ def check(binding: StructureBinding, identity: Identity) -> CheckReport:
             counterexample=tuple(space.names[i] for i in indices),
             residue=residue,
         )
+    form = slot_symmetry(identity)
+    if form is not None and (facts or all(grading_check(op).passed for op in binding.ops.values())):
+        facts[form[:3]] = form[3:]
     return CheckReport(name=identity.name, passed=True, tuples_checked=total)
 
 

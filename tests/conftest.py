@@ -163,7 +163,10 @@ def random_identities(draw):
     twist power 0..3 at any node, at times nested in a second one, random
     sign monomials and a coefficient of denominator 1..3.  Some identities hold in every structure: the drawn
     terms followed by their negations in random order, or a drawn term
-    ``e`` as ``A^a(A^b(e)) - A^(a+b)(e)``.  Most are left free.
+    ``e`` as ``A^a(A^b(e)) - A^(a+b)(e)``.  Some are skew-closed, a drawn
+    term ``e`` plus ``+-(-1)^{p.q}`` times ``e`` with two variables p and q
+    swapped, so swapping p and q maps the identity to plus or minus itself.
+    Most are left free.
     """
     variables = _NAMES[:draw(st.integers(2, 5))]
 
@@ -187,8 +190,14 @@ def random_identities(draw):
         coefficient = draw(st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3)))
         return Term(coefficient, SignPoly(frozenset(monomials)), tree(list(draw(st.permutations(variables)))))
 
-    closing = draw(st.sampled_from(("free", "negate", "free", "compose")))
-    if closing == "compose":
+    closing = draw(st.sampled_from(("free", "negate", "free", "compose", "swap")))
+    if closing == "swap":
+        e = term()
+        p, q = draw(st.permutations(variables))[:2]
+        swapped = SignPoly(frozenset(frozenset(_swapped_name(v, p, q) for v in mono) for mono in e.sign.monomials))
+        terms = [e, Term(draw(st.sampled_from((1, -1))) * e.coefficient,
+                         swapped + SignPoly(frozenset({frozenset({p, q})})), _swapped(e.expr, p, q))]
+    elif closing == "compose":
         e, a = term(), draw(st.integers(1, 3))
         b = draw(st.integers(0, 3 - a))
         terms = [
@@ -206,3 +215,16 @@ def random_identities(draw):
         ]
         terms += draw(st.permutations(negations))
     return build_identity("random", variables, tuple(terms))
+
+
+def _swapped_name(name: str, p: str, q: str) -> str:
+    return {p: q, q: p}.get(name, name)
+
+
+def _swapped(expr, p: str, q: str):
+    """``expr`` with the variables ``p`` and ``q`` exchanged."""
+    if isinstance(expr, Var):
+        return Var(_swapped_name(expr.name, p, q))
+    if isinstance(expr, Twist):
+        return Twist(expr.power, _swapped(expr.arg, p, q))
+    return Call(expr.op, tuple(_swapped(arg, p, q) for arg in expr.args))

@@ -17,15 +17,17 @@ from reference import koszul
 from superbol.catalog import SPACE_1_2, builtin_example, example_5_1_beta
 from superbol.constructions import (
     bol_from_right_alternative,
+    hom_bol_from_right_hom_alternative,
     hom_jordan_triple,
     jordan_lts_bracket,
     lie_triple_from_jordan_triple,
     minus_algebra,
     plus_algebra,
+    yau_twist_algebra,
 )
-from superbol import core, dsl, engine
+from superbol import core, dsl, engine, normal
 from superbol.core import EvenMap, SuperSpace
-from superbol.dsl import Identity, parse_identity
+from superbol.dsl import Call, Identity, SignPoly, Term, Twist, Var, parse_identity
 from superbol.engine import (
     StructureBinding,
     UnboundSymbolError,
@@ -352,7 +354,7 @@ def test_sign_tables_are_exact():
             scale, compiled = engine._compile(binding, identity)
             n = identity.arity
             assert len(compiled) == len(identity.terms)
-            for term, (node, _, coding) in zip(identity.terms, compiled):
+            for term, (node, coding) in zip(identity.terms, compiled):
                 assert len(coding.weights) == 1 << n and coding.mask == (1 << n) - 1
                 for mask in range(1 << n):
                     parities = {var: mask >> v & 1 for v, var in enumerate(identity.variables)}
@@ -387,11 +389,13 @@ def test_oracle_shares_nothing_with_the_kernel():
     }
     assert node_classes == {"_Node", "_Leaf", "_Product"} and tables
     assert {
-        "_plan", "_compile", "_shape", "_Shape", "_chunk", "_branches", "_components", "_Coding", "_columns", "_decode",
-        "_signs", "_mapped",
+        "_plan", "_compile", "_shape", "_Shape", "_chunk", "_chunks", "_branches", "_components", "_Coding", "_columns",
+        "_decode", "_signs", "_mapped", "_within",
     } <= helpers
-    assert {"coded", "table", "at", "_join", "accumulate", "_accumulate"} <= methods
-    kernel = {"_node", "_tensor", "_twist_columns", "_SHAPES", "_ONE_PASS", "plan"} | helpers | methods | tables
+    assert {"coded", "table", "at", "_join", "accumulate", "_accumulate", "_arguments", "_widening"} <= methods
+    assert "_facts" in tables
+    symbolic = {"plan", "symmetries", "slot_symmetry", "symmetric_pairs", "normal_form", "orbit_pairs", "normal"}
+    kernel = {"_node", "_tensor", "_twist_columns", "_SHAPES", "_ONE_PASS", "_ORBITS"} | symbolic | helpers | methods | tables
     for name in _ORACLE:
         names = set()
         for node in ast.walk(functions[name]):
@@ -626,18 +630,33 @@ def test_products_of_one_node_share_one_node(ex51_bol):
 def test_chunks_hold_only_tuples_of_their_index():
     """Every code of a chunk of a chunked check decodes to a tuple whose
     first variable has the chunk's basis index, wherever that variable sits
-    in a term: a non-first product argument is restricted as the first is."""
+    in a term: a non-first product argument is restricted as the first is.
+    Once the skew checks have given the binding its slot symmetries, every
+    code of a restricted check, chunked or in one pass, decodes to an orbit
+    representative: a tuple sorted on each of the check's orbit pairs."""
     structure = bol_from_right_alternative(bench_families().matrix_superalgebra(2, 1), checked=False)
     spec, dim = suite("BOL"), structure.space.dim
     binding = binding_for(structure, spec)
     identities = [identity for identity in spec.identities if identity.arity == 5]
     assert identities and dim**5 > engine._ONE_PASS
-    outside = 0
+    outside = unsorted = visited = 0
     for identity in identities:
         _, terms = engine._compile(binding, identity)
-        for index in range(dim):
-            outside += sum(engine._decode(code, dim, 5)[0] != index for code in engine._chunk(terms, index))
-    assert outside == 0
+        for index, bounds in enumerate(engine._chunks((), dim, 5)):
+            outside += sum(engine._decode(code, dim, 5)[0] != index for code in engine._chunk(terms, bounds))
+    assert all(check(binding, identity).passed for identity in spec.identities[:2])
+    for one_pass in _ONE_PASS_LIMITS.values():
+        with mock.patch.object(engine, "_ONE_PASS", one_pass):
+            for identity in identities:
+                pairs = normal.orbit_pairs(identity, binding._facts)
+                assert pairs == ((0, 1), (2, 3))
+                _, terms = engine._compile(binding, identity)
+                for index, bounds in enumerate(engine._chunks(pairs, dim, 5)):
+                    tuples = [engine._decode(code, dim, 5) for code in engine._chunk(terms, bounds)]
+                    visited += len(tuples)
+                    outside += sum(t[0] != index for t in tuples) if one_pass == 0 else 0
+                    unsorted += sum(t[p] > t[q] for t in tuples for p, q in pairs)
+    assert visited and outside == unsorted == 0
 
 
 def test_kept_tables_hold_no_zeros():
@@ -731,7 +750,8 @@ def _reference_table(binding, identity):
 def test_random_identities_agree_with_element_evaluation(structure, identity):
     """On random identities over every product symbol, both residue paths
     give the report and the table of a lexicographic walk of the
-    element-level evaluation."""
+    element-level evaluation; a skew-closed identity is restricted to the
+    orbits of its swap, however small its check."""
     space = structure.space
     table = _reference_table(_every_symbol(structure), identity)
     first = next(iter(table), None)
@@ -743,7 +763,7 @@ def test_random_identities_agree_with_element_evaluation(structure, identity):
         first and table[first],
     )
     for one_pass in _ONE_PASS_LIMITS.values():
-        with mock.patch.object(engine, "_ONE_PASS", one_pass):
+        with mock.patch.object(engine, "_ONE_PASS", one_pass), mock.patch.object(engine, "_ORBITS", 0):
             assert check(_every_symbol(structure), identity) == expected, one_pass
             assert tabulate(_every_symbol(structure), identity) == table, one_pass
 
@@ -777,6 +797,175 @@ def test_tabulate_keeps_the_nonzero_values_of_a_failing_check(one_pass, ex51, mo
     assert list(table) == sorted(table)
     assert all(not value.is_zero() for value in table.values())
     assert tabulate(binding, parse_identity("(x*y) - (x*y) = 0")) == {}
+
+
+# -- orbit restriction ---------------------------------------------------------
+
+
+def _hom_bol_pipeline(m: int, n: int, entries: tuple) -> HomBinaryTernary:
+    """The HOM_BOL pipeline output of M(m|n) twisted by diag(``entries``)."""
+    families = bench_families()
+    beta = families.diagonal_automorphism(m, n, entries)
+    return hom_bol_from_right_hom_alternative(yau_twist_algebra(families.matrix_superalgebra(m, n), beta))
+
+
+def _perturbed_plus() -> HomSuperalgebra:
+    """plus(M(2|1)) with e13 o e31 and e31 o e13 moved by e11 and by its
+    supercommuted sign: it stays supercommutative and fails the Jordan
+    superidentity."""
+    plus = plus_algebra(bench_families().matrix_superalgebra(2, 1))
+    space, constants = plus.space, dict(plus.binary.constants)
+    i, j, k = map(space.index, ("e13", "e31", "e11"))
+    for key, sign in (((i, j), 1), ((j, i), (-1) ** (space.parity(i) * space.parity(j)))):
+        constants[key] = constants.get(key, space.zero()) + space.basis_vector(k).scale(sign)
+    return HomSuperalgebra(BinaryStructure(space, constants), plus.twist)
+
+
+# Inputs whose skew or supercommutativity checks pass, so the binding records
+# their slot symmetries, and whose heavy identities fail.
+_ORBIT_CASES = {
+    "M(1|1) diag(1,2)": (lambda: _hom_bol_pipeline(1, 1, (1, 2)), "HOM_BOL"),
+    "M(2|1) diag(1,2,3)": (lambda: _hom_bol_pipeline(2, 1, (1, 2, 3)), "HOM_BOL"),
+    "M(2|1) diag(1,3,5)": (lambda: _hom_bol_pipeline(2, 1, (1, 3, 5)), "HOM_BOL"),
+    "perturbed plus(M(2|1))": (_perturbed_plus, "JORDAN"),
+}
+
+
+@_residue_paths
+@pytest.mark.parametrize("case", _ORBIT_CASES)
+def test_orbit_restriction_keeps_every_report(one_pass, case, monkeypatch):
+    """A suite checked on one binding, each heavy identity restricted to
+    orbit representatives by the slot symmetries its earlier checks
+    recorded, reports what a fresh binding without facts reports when
+    nothing is restricted: verdict, first counterexample, residue and
+    ``d**n``.  Every check is restricted here, however small."""
+    monkeypatch.setattr(engine, "_ONE_PASS", one_pass)
+    monkeypatch.setattr(engine, "_ORBITS", 0)
+    build, name = _ORBIT_CASES[case]
+    structure, spec = build(), suite(name)
+    binding = binding_for(structure, spec)
+    restricted = [check(binding, identity) for identity in spec.identities]
+    failing = [identity.name for identity, report in zip(spec.identities, restricted) if not report.passed]
+    assert failing == (["jordan_superidentity"] if name == "JORDAN" else ["binary_ternary_compat", "ternary_derivation"])
+    assert binding._facts and all(
+        normal.orbit_pairs(identity, binding._facts) for identity in spec.identities if identity.name in failing
+    )
+    with mock.patch.object(engine, "_ORBITS", math.inf):
+        assert restricted == [check(binding_for(structure, spec), identity) for identity in spec.identities]
+
+
+@_residue_paths
+def test_orbits_keep_their_diagonal(one_pass, monkeypatch):
+    """A tuple with equal entries on an orbit pair is its own orbit's
+    representative: f*f = e fails supercommutativity at (f, f) alone, and
+    the restricted check still reports it."""
+    monkeypatch.setattr(engine, "_ONE_PASS", one_pass)
+    monkeypatch.setattr(engine, "_ORBITS", 0)
+    space = SuperSpace.build([("e", 0), ("f", 1)])
+    binding = StructureBinding(space, {"*": BinaryStructure(space, {(1, 1): space.basis_vector(0)})},
+                               EvenMap.identity(space))
+    identity = suite("SUPERCOMMUTATIVE").identities[0]
+    assert normal.orbit_pairs(identity, {}) == ((0, 1),)
+    assert check(binding, identity) == CheckReport(identity.name, False, 4, ("f", "f"), space.element({"e": 2}))
+
+
+def test_a_failed_or_ungraded_slot_symmetry_records_no_fact(monkeypatch):
+    """bol(M(2|1)) with one ternary entry moved fails skew_ternary: its
+    binding records the bracket's slot symmetry only, the derivation finds
+    no orbit pair, and every report is a fresh binding's.  A bracket that
+    passes skew_binary but is not graded records none."""
+    monkeypatch.setattr(engine, "_ORBITS", 0)
+    bol = bol_from_right_alternative(bench_families().matrix_superalgebra(2, 1), checked=False)
+    space, ternary = bol.space, dict(bol.ternary.constants)
+    key = tuple(map(space.index, ("e31", "e13", "e32")))
+    ternary[key] = ternary.get(key, space.zero()) + space.basis_vector(space.index("e32"))
+    structure = HomBinaryTernary(bol.binary, TernaryStructure(space, ternary), bol.twist)
+    spec = suite("BOL")
+    binding = binding_for(structure, spec)
+    reports = [check(binding, identity) for identity in spec.identities]
+    assert [report.passed for report in reports[:2]] == [True, False]
+    assert set(binding._facts) == {("[]", 0, 1)}
+    assert normal.orbit_pairs(spec.identities[-1], binding._facts) == ()
+    with mock.patch.object(engine, "_ORBITS", math.inf):
+        assert reports == [check(binding_for(structure, spec), identity) for identity in spec.identities]
+    # [e0, e1] = e0 is skew but lands in the wrong parity
+    odd = SuperSpace.build([("e0", 0), ("e1", 1)])
+    ungraded = BinaryStructure(odd, {(0, 1): odd.basis_vector(0), (1, 0): -odd.basis_vector(0)})
+    binding = StructureBinding(odd, {"[]": ungraded}, EvenMap.identity(odd))
+    assert check(binding, spec.identities[0]).passed and binding._facts == {}
+
+
+def _from_normal(normal_sum: dict, variables: tuple[str, ...]) -> Identity:
+    """The identity whose terms are the formal sum ``normal_sum`` of
+    :func:`normal.normal_form`, over ``variables``."""
+
+    def expr(key):
+        kind, power, *args = key
+        inner = Var(variables[args[0]]) if kind == "" else Call(kind, tuple(map(expr, args)))
+        return Twist(power, inner) if power else inner
+
+    terms = tuple(
+        Term(Fraction(c), SignPoly(frozenset(frozenset(variables[v] for v in mono) for mono in signs)), expr(key))
+        for (key, signs), c in normal_sum.items()
+    )
+    return Identity("normal", variables, terms)
+
+
+def _normal_forms_agree(binding: StructureBinding, identity: Identity, facts: dict) -> bool:
+    """Whether, on ``binding``, the normal form of ``identity`` with each
+    pair of its variables swapped, and unswapped, takes the values of
+    ``identity`` at the swapped tuples, by :func:`tabulate`."""
+    table = tabulate(binding, identity)
+    for swap in [(), *itertools.combinations(range(identity.arity), 2)]:
+        order = list(range(identity.arity))
+        for v in swap:
+            order[v] = sum(swap) - v
+        expected = {tuple(t[v] for v in order): value for t, value in table.items()}
+        if tabulate(binding, _from_normal(normal.normal_form(identity, facts, swap), identity.variables)) != expected:
+            return False
+    return True
+
+
+def test_normal_form_agrees_with_the_kernel_and_a_broken_one_does_not():
+    """On the failing HOM_BOL pipeline output of M(1|1), whose skew checks
+    pass, the normal forms of its two heavy identities under every swap
+    take the kernel's values.  Read under facts without the |a||b| sign,
+    or with the sign c flipped, some normal form does not."""
+    structure, spec = _hom_bol_pipeline(1, 1, (1, 2)), suite("HOM_BOL")
+    binding = binding_for(structure, spec)
+    assert all(check(binding, identity).passed for identity in spec.identities[:5])
+    facts = dict(binding._facts)
+    assert facts == {key: (-1, frozenset({frozenset({0, 1})})) for key in (("[]", 0, 1), ("{}", 0, 1))}
+    heavy = spec.identities[5:]
+    assert all(_normal_forms_agree(binding_for(structure, spec), identity, facts) for identity in heavy)
+    unsigned = {key: (c, frozenset()) for key, (c, q) in facts.items()}
+    flipped = {key: (-c, q) for key, (c, q) in facts.items()}
+    for broken in (unsigned, flipped):
+        assert not all(_normal_forms_agree(binding_for(structure, spec), identity, broken) for identity in heavy)
+
+
+def test_orbit_pairs_of_the_suites():
+    """Under the slot symmetries of their suites' skew and
+    supercommutativity checks, the heavy identities restrict to these
+    disjoint pairs of variable positions, and none without facts.  The
+    cyclic sum is alternating, but each of its pairs lies across two later
+    arguments of one of its rotated terms, so it restricts to none."""
+    skew = {key: (-1, frozenset({frozenset({0, 1})})) for key in (("[]", 0, 1), ("{}", 0, 1))}
+    supercommutative = {("*", 0, 1): (1, frozenset({frozenset({0, 1})}))}
+    expected = {
+        ("HOM_BOL", "binary_ternary_compat"): ((0, 1), (2, 3)),
+        ("HOM_BOL", "ternary_derivation"): ((0, 1), (2, 3)),
+        ("HOM_BOL", "binary_multiplicativity"): ((0, 1),),
+        ("LIE_TRIPLE", "ternary_cyclic_sum"): (),
+        ("HOM_LIE_TRIPLE", "ternary_derivation_twisted"): ((0, 1), (2, 3)),
+        ("JORDAN", "jordan_superidentity"): ((0, 1),),
+        ("HOM_JORDAN", "jordan_superidentity_expanded"): ((0, 2),),
+    }
+    for (name, identity_name), pairs in expected.items():
+        identity = next(identity for identity in suite(name).identities if identity.name == identity_name)
+        facts = supercommutative if "JORDAN" in name else skew
+        assert normal.orbit_pairs(identity, facts) == pairs, identity_name
+        assert normal.orbit_pairs(identity, {}) == (), identity_name
 
 
 # -- kernel-built products against their element-level references -------------

@@ -10,7 +10,8 @@ import pytest
 
 from superbol.catalog import builtin_example
 from superbol.constructions import BilinearForm
-from superbol.core import EvenMap, SuperSpace
+from superbol import engine
+from superbol.core import EvenMap, SuperSpace, Value
 from superbol.dsl import Call, Identity, SignPoly, Term, Twist, Var, parse_identity, without_twist
 from superbol.engine import StructureBinding, check
 from superbol.operators import Combination
@@ -168,6 +169,26 @@ def test_identity_plan_takes_no_part_in_equality_hashing_or_repr():
     check(_noncommutative(), checked)
     assert checked.plan is not None and fresh.plan is None
     assert checked == fresh and hash(checked) == hash(fresh) and repr(checked) == repr(fresh)
+
+
+def test_identity_symmetries_take_no_part_in_equality_hashing_or_repr(monkeypatch):
+    """The orbit pairs a check finds are kept on the identity by the slot
+    symmetries they were found under; a fresh copy starts without them."""
+    monkeypatch.setattr(engine, "_ORBITS", 0)
+    checked, fresh = parse_identity(_SUPERCOMMUTATOR), parse_identity(_SUPERCOMMUTATOR)
+    check(_noncommutative(), checked)
+    assert checked.symmetries == {(): ((0, 1),)} and fresh.symmetries == {}
+    assert checked == fresh and hash(checked) == hash(fresh) and repr(checked) == repr(fresh)
+
+
+def test_maps_keep_their_hash_but_not_across_pickles(monkeypatch):
+    """An even map hashes its matrix once; a pickle restores it unhashed,
+    since string hashes differ between interpreters."""
+    twist = EvenMap(SPACE, TWIST.matrix)
+    assert twist._hash is None and hash(twist) == hash(TWIST) and twist._hash == hash(twist)
+    monkeypatch.setattr(Value, "__hash__", lambda self: pytest.fail("rehashed"))
+    assert hash(twist) == twist._hash and {twist: 1}[twist] == 1
+    assert pickle.loads(pickle.dumps(twist))._hash is None
 
 
 def test_copies_start_without_a_plan():
