@@ -9,8 +9,9 @@ reproducible.  The reported tuple count is always d**n.
 depends on the identity alone is compiled once per :class:`Identity`, on
 its first check, and kept on it as its ``plan``: per term, the shape of its
 expression, where its key positions land in the identity's variable order,
-its coefficient and its table of signs.  A shape is a variable or a product up to renaming of its
-variables, under the summed power of the twists around it.  Shapes are
+its coefficient and its table of signs.  A shape is a variable or a product
+up to renaming of its variables, under the summed power of the twists
+around it.  Shapes are
 interned for the whole process, so equal ones, in any identities, are one
 object, hashed by identity.  What depends on the structure is compiled once
 per :class:`StructureBinding`, on first use, and kept by it, twists
@@ -708,6 +709,7 @@ def check(binding: StructureBinding, identity: Identity) -> CheckReport:
             residue=residue,
         )
     form = slot_symmetry(identity)
+    # A binding holds facts only once its products have passed the grading check.
     if form is not None and (facts or all(grading_check(op).passed for op in binding.ops.values())):
         facts[form[:3]] = form[3:]
     return CheckReport(name=identity.name, passed=True, tuples_checked=total)
