@@ -1,9 +1,9 @@
 """Derived structures: minus/plus algebras, derived ternary brackets, twists.
 
 Every derived product is defined once, as a DSL term sum, and its structure
-constants are tabulated by the engine on all basis tuples
-(:func:`suites.tabulated`); no element-level copy of them exists.  The
-bilinear-form triple is such a sum over the pairing tensor
+constants are tabulated by the engine on all basis tuples, on the binding
+a stage checked its input on, if any; no element-level copy of them exists.
+The bilinear-form triple is such a sum over the pairing tensor
 P(x,y,z) = <x|y>z, read straight from the Gram matrix.  Twists and derived
 structures instead compose the stored constants with powers of a
 self-morphism or of the twist, one body for either arity.  Every builder
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .core import Element, EvenMap, Scalar, SuperSpace, Value, apply_map, compose, power, rational
-from .dsl import ANGLE, BRACES, STAR, build_identity, parse_identity
+from .dsl import BRACES, STAR, Identity, build_identity, parse_identity
 from .reports import CheckReport
 from .structures import (
     Convention,
@@ -32,7 +32,10 @@ from .structures import (
     is_even_self_morphism,
     is_multiplicative,
 )
-from .suites import SUPER_JORDAN, SUPERCOMMUTATOR, graded_product, run_suite, scaled, tabulated
+from .suites import SUPER_JORDAN, SUPERCOMMUTATOR, binding_for, check_suite, graded_product, scaled, suite, tabulated
+
+if TYPE_CHECKING:
+    from .engine import StructureBinding
 
 _JORDAN_LTS = parse_identity("2 (x*(y*z)) - 2 (-1)^{x.y} (y*(x*z)) = 0", name="jordan_lts_bracket")
 # Keyed (x, y, z) although the term reads its variables as y, z, x.
@@ -58,15 +61,30 @@ class ConstructionError(ValueError):
         self.report = report
 
 
-def _require_suite(structure, suite_name: str, stage: str) -> None:
-    report = run_suite(structure, suite_name)
-    if not report.passed:
-        failure = report.first_failure()
-        raise ConstructionError(
-            stage,
-            f"input fails suite {suite_name} at identity {failure.name!r}: {failure.describe()}",
-            report,
-        )
+def _require_suite(structure, suite_name: str, stage: str, checked: bool = True) -> StructureBinding:
+    """The binding of ``structure`` by the rules of suite ``suite_name``.  If
+    ``checked``, every identity of the suite is first checked on it, and a
+    failing one raises :class:`ConstructionError`; otherwise it is built and
+    nothing is checked."""
+    spec = suite(suite_name)
+    binding = binding_for(structure, spec)
+    if checked:
+        report = check_suite(binding, spec)
+        if not report.passed:
+            failure = report.first_failure()
+            raise ConstructionError(
+                stage,
+                f"input fails suite {suite_name} at identity {failure.name!r}: {failure.describe()}",
+                report,
+            )
+    return binding
+
+
+def _ternary(binding: StructureBinding, identity: Identity) -> TernaryStructure:
+    """The ternary product that ``identity``'s term sum defines on ``binding``."""
+    from .engine import tabulate
+
+    return TernaryStructure(binding.space, tabulate(binding, identity))
 
 
 def _require_check(report: CheckReport, stage: str) -> None:
@@ -93,9 +111,8 @@ def jordan_lts_bracket(jordan: HomSuperalgebra, checked: bool = True) -> HomTrip
     """Untwisted ternary system of the bracket 2(x(yz) - (-1)^{|x||y|} y(xz))
     of an untwisted Jordan product."""
     _require_identity_twist(jordan, "jordan_lts_bracket")
-    if checked:
-        _require_suite(jordan, "SUPERCOMMUTATIVE", "jordan_lts_bracket")
-    return HomTripleSystem.untwisted(TernaryStructure(jordan.space, tabulated(_JORDAN_LTS, {STAR: jordan.binary})))
+    binding = _require_suite(jordan, "SUPERCOMMUTATIVE", "jordan_lts_bracket", checked)
+    return HomTripleSystem.untwisted(_ternary(binding, _JORDAN_LTS))
 
 
 def bol_from_right_alternative(
@@ -120,17 +137,14 @@ def hom_jordan_triple(jordan: HomSuperalgebra, checked: bool = True) -> HomTripl
     """Ternary system of a twisted Jordan product; output twist is the square."""
     if checked:
         _require_check(is_multiplicative(jordan), "hom_jordan_triple")
-        _require_suite(jordan, "HOM_JORDAN", "hom_jordan_triple")
-    ternary = TernaryStructure(jordan.space, tabulated(_HOM_JORDAN_TRIPLE, {STAR: jordan.binary}, jordan.twist))
-    return HomTripleSystem(ternary, power(jordan.twist, 2))
+    binding = _require_suite(jordan, "HOM_JORDAN", "hom_jordan_triple", checked)
+    return HomTripleSystem(_ternary(binding, _HOM_JORDAN_TRIPLE), power(jordan.twist, 2))
 
 
 def lie_triple_from_jordan_triple(triple: HomTripleSystem, checked: bool = True) -> HomTripleSystem:
     """Antisymmetrize the first pair: [x,y,z] = <x,y,z> - (-1)^{|x||y|}<y,x,z>."""
-    if checked:
-        _require_suite(triple, "HOM_JORDAN_TRIPLE", "lie_triple_from_jordan_triple")
-    ternary = TernaryStructure(triple.space, tabulated(_LIE_TRIPLE, {ANGLE: triple.ternary}))
-    return HomTripleSystem(ternary, triple.twist)
+    binding = _require_suite(triple, "HOM_JORDAN_TRIPLE", "lie_triple_from_jordan_triple", checked)
+    return HomTripleSystem(_ternary(binding, _LIE_TRIPLE), triple.twist)
 
 
 def hom_bol_from_right_hom_alternative(

@@ -265,13 +265,14 @@ class EvenMap(Value):
     shape, and builds ``columns``, the sparse view that map arithmetic reads:
     the nonzero entries of each source column as ``{target: entry}``, never
     mutated.  Parity is checked on those nonzero entries only; a bad shape or
-    an entry crossing parities raises ``ValueError``.  The hash is kept in a
-    slot outside ``_fields`` once computed, so a map used as a cache key is
-    hashed once.
+    an entry crossing parities raises ``ValueError``.  ``_powers`` holds the
+    powers :func:`power` has built of this map, by exponent, so each is
+    built once per map.  Both are slots outside ``_fields``: they take no
+    part in equality, hashing or ``repr``.
     """
 
     _fields = ("space", "matrix")
-    __slots__ = (*_fields, "columns", "_hash")
+    __slots__ = (*_fields, "columns", "_powers")
 
     def __init__(self, space: SuperSpace, matrix: tuple[tuple[Fraction, ...], ...] = ()):
         n, parities = space.dim, space.parities
@@ -288,19 +289,7 @@ class EvenMap(Value):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        """The hash of ``(space, matrix)``, computed on first use and kept."""
-        if self._hash is None:
-            object.__setattr__(self, "_hash", Value.__hash__(self))
-        return self._hash
-
-    def __setstate__(self, state) -> None:
-        """Restore the saved slots but not the kept hash: string hashes
-        differ between interpreters."""
-        super().__setstate__(state)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_powers", {})
 
     @staticmethod
     def identity(space: SuperSpace) -> "EvenMap":
@@ -357,20 +346,20 @@ def power(f: EvenMap, n: int) -> EvenMap:
     """n-fold composition; ``power(f, 0)`` is the identity and ``power(f, 1)``
     is ``f`` itself.
 
-    Computed by repeated squaring, so the cost grows with the bit length of n;
-    powers of one map commute and the arithmetic is exact, so the result is
-    the n-fold composition itself.
+    Every higher power is kept in ``f``'s ``_powers`` and built once per map:
+    an even power as the square of the half power, an odd one as ``f`` after
+    the power below it.  Powers of one map commute and the arithmetic is
+    exact, so the result is the n-fold composition itself.
     """
     if n < 0:
         raise ValueError("power expects a nonnegative exponent")
-    if n == 0:
-        return EvenMap.identity(f.space)
-    result = None
-    while True:
+    if n < 2:
+        return f if n else EvenMap.identity(f.space)
+    powers = f._powers
+    if n not in powers:
         if n & 1:
-            result = f if result is None else compose(f, result)
-        n >>= 1
-        if not n:
-            return result
-        f = compose(f, f)
-
+            powers[n] = compose(f, power(f, n - 1))
+        else:
+            half = power(f, n // 2)
+            powers[n] = compose(half, half)
+    return powers[n]

@@ -78,7 +78,6 @@ claim in the tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -209,30 +208,23 @@ class StructureBinding(Value):
         return node
 
 
-@functools.lru_cache(maxsize=8)
-def _twist_powers(twist: EvenMap, highest: int) -> tuple[EvenMap, ...]:
-    """The powers 0..highest of ``twist``, built once for a walk that
-    evaluates one identity on one binding tuple after tuple."""
-    return tuple(power(twist, n) for n in range(highest + 1))
-
-
-def _evaluate_expr(expr: Expr, env: Mapping[str, Element], binding: StructureBinding, powers: Sequence[EvenMap]) -> Element:
+def _evaluate_expr(expr: Expr, env: Mapping[str, Element], binding: StructureBinding) -> Element:
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, Twist):
-        return apply_map(powers[expr.power], _evaluate_expr(expr.arg, env, binding, powers))
-    values = [_evaluate_expr(arg, env, binding, powers) for arg in expr.args]
+        return apply_map(power(binding.twist, expr.power), _evaluate_expr(expr.arg, env, binding))
+    values = [_evaluate_expr(arg, env, binding) for arg in expr.args]
     structure = binding.op(expr.op)
     if expr.op in (BRACES, ANGLE):
         return tern_mul(structure, *values)
     return bin_mul(structure, *values)
 
 
-def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapping[str, int], binding: StructureBinding, powers: Sequence[EvenMap]) -> Element:
+def _term_residue(identity: Identity, env: Mapping[str, Element], parities: Mapping[str, int], binding: StructureBinding) -> Element:
     residue = binding.space.zero()
     for term in identity.terms:
         sign = term.sign.sign(parities)
-        value = _evaluate_expr(term.expr, env, binding, powers)
+        value = _evaluate_expr(term.expr, env, binding)
         residue = residue + value.scale(term.coefficient * sign)
     return residue
 
@@ -731,14 +723,15 @@ def evaluate_on_elements(
     element is split into its even and odd components and the identity is
     expanded multilinearly over all component choices.  This is the
     independent oracle for the basis-tuple checker: a passing identity must
-    return zero here for every assignment.
+    return zero here for every assignment.  Each twist power is read
+    through :func:`core.power`, which keeps it on the twist, so a walk of
+    one identity tuple after tuple builds each power once.
     """
-    powers = _twist_powers(binding.twist, identity.max_twist_power())
     variables = identity.variables
     split = {var: assignment[var].homogeneous_parts() for var in variables}
     residue = binding.space.zero()
     for combo in itertools.product(*(split[var] or [(0, binding.space.zero())] for var in variables)):
         env = {var: part for var, (_, part) in zip(variables, combo)}
         parities = {var: parity for var, (parity, _) in zip(variables, combo)}
-        residue = residue + _term_residue(identity, env, parities, binding, powers)
+        residue = residue + _term_residue(identity, env, parities, binding)
     return residue

@@ -31,7 +31,7 @@ from .dsl import STAR, Call, Expr, Identity, SignPoly, Term, Twist, Var, build_i
 from .engine import StructureBinding, check
 from .reports import CheckReport, SuiteReport
 from .structures import HomSuperalgebra, grading_check, is_multiplicative
-from .suites import binding_for, run_suite, suite
+from .suites import binding_for, check_suite, suite
 
 ARG = Var("t")
 
@@ -313,8 +313,10 @@ def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:
 
     Preconditions, each verified first and raised as ValueError: the product
     is graded, the structure is multiplicative, and its product satisfies
-    the twisted Jordan suite.  On a structure that fails them, :func:`check`
-    each of :func:`lemma_identities` on :func:`lemma_binding` instead.
+    the twisted Jordan suite, checked on the :func:`lemma_binding` that the
+    lemmas are then checked on, so they share its nodes and facts.  On a
+    structure that fails them, :func:`check` each of :func:`lemma_identities`
+    on :func:`lemma_binding` instead.
 
     The slots of ``_DECIDED`` and the asserted signs always pass, with the
     tuple counts a check would give; a two-sign lemma's detail says whether
@@ -326,12 +328,11 @@ def verify_operator_lemmas(jordan: HomSuperalgebra) -> SuiteReport:
     mult = is_multiplicative(jordan)
     if not mult.passed:
         raise ValueError(f"operator lemmas need a multiplicative structure: {mult.describe()}")
-    jordan_suite = run_suite(jordan, "HOM_JORDAN")
+    binding = lemma_binding(jordan)
+    jordan_suite = check_suite(binding, suite("HOM_JORDAN"))
     if not jordan_suite.passed:
         failure = jordan_suite.first_failure()
         raise ValueError(f"operator lemmas need a twisted Jordan product: {failure.describe()}")
-
-    binding = lemma_binding(jordan)
     reports = [_lemma_report(binding, identity) for identity in lemma_identities(jordan.twist.is_identity())]
     for place, name, arguments in _DECIDED:
         reports.insert(place, CheckReport(name, True, jordan.space.dim**arguments))

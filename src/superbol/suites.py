@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .core import Element, EvenMap, SuperSpace, Value
 from .dsl import STAR, Identity, Term, parse_identity, without_twist
@@ -259,15 +259,13 @@ def _parsed(declared: tuple) -> tuple[Identity, ...]:
     return tuple(item if isinstance(item, Identity) else parse_identity(item[1], name=item[0]) for item in declared)
 
 
-def tabulated(
-    identity: Identity, ops: Mapping[str, ProductTensor], twist: Optional[EvenMap] = None
-) -> dict[tuple[int, ...], Element]:
+def tabulated(identity: Identity, ops: Mapping[str, ProductTensor]) -> dict[tuple[int, ...], Element]:
     """Structure constants of the product defined by ``identity``'s term sum,
-    its symbols bound to ``ops`` and its twist to ``twist`` (default identity)."""
+    its symbols bound to ``ops`` at the identity twist."""
     from .engine import StructureBinding, tabulate
 
     space = next(iter(ops.values())).space
-    return tabulate(StructureBinding(space, ops, EvenMap.identity(space) if twist is None else twist), identity)
+    return tabulate(StructureBinding(space, ops, EvenMap.identity(space)), identity)
 
 
 def scaled(identity: Identity, factor: Fraction) -> Identity:
@@ -299,10 +297,14 @@ def binding_for(structure: HomStructure, spec: SuiteSpec) -> StructureBinding:
     return StructureBinding(space=space, ops=ops, twist=structure.twist)
 
 
-def run_suite(structure: HomStructure, name: str) -> SuiteReport:
-    """Bind a structure per the suite's rules and check every identity."""
+def check_suite(binding: StructureBinding, spec: SuiteSpec) -> SuiteReport:
+    """Check every identity of the suite on ``binding``, in suite order."""
     from .engine import check
 
-    spec = suite(name)
-    binding = binding_for(structure, spec)
     return SuiteReport(suite=spec.name, reports=tuple(check(binding, identity) for identity in spec.identities))
+
+
+def run_suite(structure: HomStructure, name: str) -> SuiteReport:
+    """Bind a structure per the suite's rules and check every identity."""
+    spec = suite(name)
+    return check_suite(binding_for(structure, spec), spec)

@@ -362,7 +362,7 @@ def test_sign_tables_are_exact():
                     assert coding.weights[mask] == expected, (name, identity.name, mask)
 
 
-_ORACLE = ("evaluate_on_elements", "_evaluate_expr", "_term_residue", "_twist_powers")
+_ORACLE = ("evaluate_on_elements", "_evaluate_expr", "_term_residue")
 
 
 def test_oracle_shares_nothing_with_the_kernel():
@@ -409,17 +409,40 @@ def test_oracle_shares_nothing_with_the_kernel():
 
 
 def test_oracle_builds_twist_powers_once_per_twist(ex51, monkeypatch):
-    """A walk that evaluates one identity on one binding tuple after tuple
-    builds each twist power once."""
-    built = []
-    monkeypatch.setattr(engine, "power", lambda twist, n: built.append(n) or core.power(twist, n))
-    engine._twist_powers.cache_clear()
-    identity = parse_identity("A^2((x*y)) - (A(x)*A(y)) = 0")
-    binding = star_binding(HomSuperalgebra(ex51.binary, example_5_1_beta(2, 3)))
-    for x, y in itertools.product(SPACE_1_2.names, repeat=2):
-        evaluate_on_elements(identity, binding, {"x": SPACE_1_2.basis_vector(x), "y": SPACE_1_2.basis_vector(y)})
-    engine._twist_powers.cache_clear()
-    assert built == [0, 1, 2]
+    """Walks that evaluate one identity tuple after tuple, on two bindings
+    of one twist, build each power of the twist once: it is kept on the map,
+    and an equal map builds its own."""
+    composed = []
+    compose = core.compose
+    monkeypatch.setattr(core, "compose", lambda f, g: composed.append((f, g)) or compose(f, g))
+    identity = parse_identity("A^3((x*y)) - (A^2(x)*A(y)) = 0")
+    twist, equal = example_5_1_beta(2, 3), example_5_1_beta(2, 3)
+    for beta in (twist, twist, equal):
+        binding = star_binding(HomSuperalgebra(ex51.binary, beta))
+        for x, y in itertools.product(SPACE_1_2.names, repeat=2):
+            evaluate_on_elements(identity, binding, {"x": SPACE_1_2.basis_vector(x), "y": SPACE_1_2.basis_vector(y)})
+    assert composed == [(twist, twist), (twist, twist._powers[2]), (equal, equal), (equal, equal._powers[2])]
+    assert twist._powers == equal._powers == {2: core.power(twist, 2), 3: core.power(twist, 3)}
+
+
+_CACHED = {("suites", "_spec"), ("suites", "_parsed"), ("operators", "_lemma_identities")}
+
+
+def test_function_caches_hold_no_structure():
+    """The package's only function caches are the suite and lemma tables,
+    keyed by a name, a declaration or a flag: no cache outlives a call
+    holding a structure, a map or a binding."""
+    found = {}
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("cache", "lru_cache", "cached_property"):
+                        found[path.stem, node.name] = [ast.unparse(arg.annotation) for arg in node.args.args]
+    assert set(found) == _CACHED
+    assert sorted(found.values()) == [["bool"], ["str"], ["tuple"]]
 
 
 _PRODUCTS = {"bin_mul", "tern_mul"}

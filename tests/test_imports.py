@@ -102,13 +102,15 @@ def _command(tmp_path, *argv) -> dict:
         (("check", "malformed.json", "--suite", "BOL"), 2, {"engine", "constructions", "operators", "catalog"}),
         (("construct", "hom_bol", "ex51.json", "-o", "hb.json"), 0, {"operators", "catalog"}),
         (("lemmas", "plus.json"), 0, {"constructions", "catalog"}),
+        (("derive", "hombol23.json", "-n", "1", "-o", "derived.json"), 0, {"engine", "operators", "catalog", "normal"}),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
     """A command imports only the modules it runs, and no module imports
     ``dataclasses`` or ``inspect``: no class is generated at import.  A
     check of a dim-3 structure is too small to restrict to orbits, so it
-    does not load the normal form."""
+    does not load the normal form, and ``derive`` runs no check, so it
+    loads no engine: ``constructions`` imports it only when a stage runs."""
     found = _command(tmp_path, *argv)
     assert found["package"] == [] and found["cli"] == []
     assert found["code"] == code, found["stderr"]

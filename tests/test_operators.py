@@ -11,10 +11,17 @@ from conftest import bench_families, oracle_agreement
 from superbol import builtin_example
 from superbol.catalog import SPACE_1_2, example_5_1_beta
 from superbol.core import SuperSpace
-from superbol.constructions import _HOM_JORDAN_TRIPLE, hom_jordan_triple, plus_algebra, yau_twist_algebra
+from superbol.constructions import (
+    _HOM_JORDAN_TRIPLE,
+    hom_jordan_triple,
+    jordan_lts_bracket,
+    lie_triple_from_jordan_triple,
+    plus_algebra,
+    yau_twist_algebra,
+)
 from superbol.dsl import Call, SignPoly, Term, Twist, Var, build_identity
 from superbol import constructions, engine, operators
-from superbol.engine import check, evaluate_on_elements
+from superbol.engine import StructureBinding, check, evaluate_on_elements
 from superbol.reports import CheckReport
 from superbol.operators import (
     ARG,
@@ -38,7 +45,7 @@ from superbol.structures import (
     grading_check,
     tern_mul,
 )
-from superbol.suites import binding_for, run_suite, suite
+from superbol.suites import run_suite, suite
 
 x, y, z = (Var(name) for name in "xyz")
 
@@ -210,10 +217,36 @@ def test_lemmas_tabulate_nothing_and_build_no_construction(plus51, monkeypatch):
     assert [verify_operator_lemmas(jordan) for jordan in (plus51, twisted)] == expected
 
 
-def test_lemma_binding_binds_what_hom_jordan_binds(plus51):
-    binding = lemma_binding(plus51)
-    assert binding == binding_for(plus51, suite("HOM_JORDAN"))
-    assert set(binding.ops) == {"*"}
+def test_a_call_binds_its_input_once(plus51, monkeypatch):
+    """The operator lemmas check HOM_JORDAN and every lemma on the one
+    binding ``lemma_binding`` returns, and a stage checks its precondition
+    suite and tabulates on one binding; ``is_multiplicative`` binds ``[]``
+    apart.  An unchecked stage builds its one binding and checks nothing."""
+    triple = hom_jordan_triple(plus51)
+    built, checked = [], []
+    init, engine_check = StructureBinding.__init__, engine.check
+
+    def recording(binding, identity):
+        checked.append((binding, identity.name))
+        return engine_check(binding, identity)
+
+    monkeypatch.setattr(StructureBinding, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(engine, "check", recording)
+    monkeypatch.setattr(operators, "check", recording)
+
+    def bindings(call, *args, **kwargs):
+        built.clear()
+        checked.clear()
+        call(*args, **kwargs)
+        return len(built)
+
+    assert bindings(verify_operator_lemmas, plus51) == 2
+    names = [identity.name for identity in suite("HOM_JORDAN").identities + lemma_identities()]
+    assert [name for _, name in checked] == ["binary_multiplicativity", *names]
+    assert all(binding is built[1] for binding, _ in checked[1:]) and set(built[1].ops) == {"*"}
+    calls = ((hom_jordan_triple, plus51), (lie_triple_from_jordan_triple, triple), (jordan_lts_bracket, plus51))
+    assert [bindings(*call) for call in calls] == [2, 1, 1]
+    assert [bindings(*call, checked=False) for call in calls] == [1, 1, 1] and checked == []
 
 
 def perturbed_jordan(plus51):

@@ -11,7 +11,7 @@ import pytest
 from superbol.catalog import builtin_example
 from superbol.constructions import BilinearForm
 from superbol import engine
-from superbol.core import EvenMap, SuperSpace, Value
+from superbol.core import EvenMap, SuperSpace, power
 from superbol.dsl import Call, Identity, SignPoly, Term, Twist, Var, parse_identity, without_twist
 from superbol.engine import StructureBinding, check
 from superbol.operators import Combination
@@ -181,14 +181,16 @@ def test_identity_symmetries_take_no_part_in_equality_hashing_or_repr(monkeypatc
     assert checked == fresh and hash(checked) == hash(fresh) and repr(checked) == repr(fresh)
 
 
-def test_maps_keep_their_hash_but_not_across_pickles(monkeypatch):
-    """An even map hashes its matrix once; a pickle restores it unhashed,
-    since string hashes differ between interpreters."""
-    twist = EvenMap(SPACE, TWIST.matrix)
-    assert twist._hash is None and hash(twist) == hash(TWIST) and twist._hash == hash(twist)
-    monkeypatch.setattr(Value, "__hash__", lambda self: pytest.fail("rehashed"))
-    assert hash(twist) == twist._hash and {twist: 1}[twist] == 1
-    assert pickle.loads(pickle.dumps(twist))._hash is None
+def test_map_powers_take_no_part_in_equality_hashing_or_repr():
+    """A map keeps the powers built of it; an equal map without them
+    compares, hashes and prints equal, and ``copy`` and ``pickle`` give
+    equal maps with equal powers."""
+    twist, fresh = EvenMap(SPACE, TWIST.matrix), EvenMap(SPACE, TWIST.matrix)
+    squared = power(twist, 2)
+    assert twist._powers == {2: squared} and fresh._powers == {}
+    assert twist == fresh and hash(twist) == hash(fresh) and repr(twist) == repr(fresh)
+    for copied in (copy.copy(twist), copy.deepcopy(twist), pickle.loads(pickle.dumps(twist))):
+        assert copied == twist and hash(copied) == hash(twist) and power(copied, 2) == squared
 
 
 def test_copies_start_without_a_plan():
